@@ -154,7 +154,9 @@ class BoundReport:
         return ",".join(cells)
 
 
-def _expected_subscript(algorithm, r, kappa, n_min):
+def expected_subscript(algorithm, r, kappa, n_min):
+    """Constraint level tau of the rho estimate a bound needs:
+    min(8r, n_min) for mBP and mDS, min(8r/(1-kappa)^2, n_min) for mLASSO."""
     if algorithm in ("mbp", "mds"):
         return min(8.0 * r, float(n_min))
     return min(lasso_subscript(r, kappa), float(n_min))
@@ -176,7 +178,7 @@ def verify_bound(scenario, result, algorithm, params, rho_estimate, rank_tol=1e-
     r = max(1, numerical_rank(x_true, rank_tol))
     n_min = min(x_true.shape)
     kappa = params.get("kappa", 0.0)
-    expected_tau = _expected_subscript(algorithm, r, kappa, n_min)
+    expected_tau = expected_subscript(algorithm, r, kappa, n_min)
     if abs(rho_estimate.tau - expected_tau) > 1e-9 * max(1.0, expected_tau):
         raise ValueError(
             f"rho estimate at tau={rho_estimate.tau}, algorithm needs {expected_tau}"

@@ -1,7 +1,8 @@
 """Estimators for the extremal ratios ||A(X)||_2 / ||X||_F over
 nuclear-norm-constrained and rank-constrained unit-Frobenius matrices,
-together with a brute-force sampling oracle for tiny instances and the
-derived restricted-isometry-constant bound.
+together with a brute-force oracle for tiny instances (exact where the
+constraint is vacuous, sampled elsewhere) and the derived
+restricted-isometry-constant bound.
 
 All estimates are one-sided evidence: any feasible witness upper-bounds an
 infimum and lower-bounds a supremum.  Witness feasibility is re-verified on
@@ -11,7 +12,6 @@ every returned estimate.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from nucrec.linalg import svd, lstar_rank, numerical_rank
 from nucrec.operators import apply_op, gram_apply
@@ -150,7 +150,7 @@ def project_htau(x, tau):
 
 def _witness_values(op, batch):
     """||A(X)||_2 for a batch of matrices, shape (b, n1, n2) -> (b,)."""
-    meas = np.tensordot(batch, op.matrices, axes=([1, 2], [1, 2]))
+    meas = batch.reshape(len(batch), -1) @ op.flat.T
     return np.linalg.norm(meas, axis=1)
 
 
@@ -176,7 +176,7 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
         # short default budget: each sweep is a full batched step, and
         # Monte Carlo callers run many estimates
         max_iters = min(cfg.max_iters, 300)
-    mats = op.matrices
+    flat = op.flat
 
     def retract(batch):
         u, s, vt = np.linalg.svd(batch, full_matrices=False)
@@ -196,8 +196,8 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
         step = 1.0 / (2.0 * lam)
         vals = _witness_values(op, x)
         for _ in range(max_iters):
-            meas = np.tensordot(x, mats, axes=([1, 2], [1, 2]))  # (b, m)
-            grad = 2.0 * np.tensordot(meas, mats, axes=([1], [0]))
+            meas = x.reshape(starts, -1) @ flat.T  # (b, m)
+            grad = 2.0 * (meas @ flat).reshape(x.shape)
             stepped = x + sign * step * grad
             # a descent step can annihilate an iterate when the operator acts
             # as a multiple of the identity on it; keep the incumbent there
@@ -234,14 +234,39 @@ def _sample_feasible_batch(rng, count, shape, tau):
     return np.einsum("bij,bj,bjk->bik", u, s, vt)
 
 
-def brute_force_cmsv(op, tau, direction, samples=100_000, seed=0, refine=True):
-    """Sampling oracle for tiny instances (n1*n2 <= 9 enforced).
+def _exact_cmsv(op, tau, direction):
+    """Extremal value at tau >= n_min, where ||X||_*^2 <= tau ||X||_F^2 holds
+    for every X: the extreme singular value of the m x (n1*n2) operator
+    matrix, witnessed by its right singular vector.  The full factorization
+    keeps the null vectors of an operator with m < n1*n2.
+    """
+    _, _, vt = np.linalg.svd(op.flat, full_matrices=True)
+    witness = vt[-1 if direction == "min" else 0].reshape(op.shape)
+    witness = witness / np.linalg.norm(witness)
+    value = float(np.linalg.norm(apply_op(op, witness)))
+    return CmsvEstimate(
+        tau=float(tau),
+        direction=direction,
+        value=value,
+        witness=witness,
+        starts=1,
+        per_start_values=(),
+    )
 
-    Evaluates the measurement norm over quasi-uniform feasible points and,
-    when ``refine`` is set, over shrinking neighborhoods of the incumbent.
-    Same one-sided evidence semantics as :func:`estimate_cmsv`.  With
-    ``refine=False`` and a shared seed, two operators are evaluated on the
-    identical sample set.
+
+def brute_force_cmsv(op, tau, direction, samples=100_000, seed=0, refine=True):
+    """Oracle for tiny instances (n1*n2 <= 9 enforced).
+
+    At tau >= n_min the constraint is vacuous and the value is exact: the
+    extreme singular value of the operator matrix, from one SVD, with its
+    right singular vector as witness; ``samples``, ``seed`` and ``refine``
+    are then not used.
+
+    Below n_min it is a sampling oracle: it evaluates the measurement norm
+    over quasi-uniform feasible points and, when ``refine`` is set, over
+    shrinking neighborhoods of the incumbent.  Same one-sided evidence
+    semantics as :func:`estimate_cmsv`.  With ``refine=False`` and a shared
+    seed, two operators are evaluated on the identical sample set.
     """
     _check_tau(op, tau)
     if direction not in ("min", "max"):
@@ -251,6 +276,8 @@ def brute_force_cmsv(op, tau, direction, samples=100_000, seed=0, refine=True):
         raise ValueError("brute force limited to n1*n2 <= 9")
     if samples < 10_000:
         raise ValueError("samples must be >= 10000")
+    if tau >= min(n1, n2):
+        return _exact_cmsv(op, tau, direction)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(derive_seed(seed, 0))))
     pick = np.argmin if direction == "min" else np.argmax
 
@@ -308,9 +335,13 @@ def _rayleigh_factor_step(phi, gram_factor, direction):
     # symmetrize against roundoff; regularize the metric for stability
     b = 0.5 * (gram_factor + gram_factor.T)
     b = b + 1e-12 * np.trace(b) / b.shape[0] * np.eye(b.shape[0])
-    vals, vecs = scipy.linalg.eigh(0.5 * (m_mat + m_mat.T), b)
+    # Cholesky reduction b = L L^T to the standard problem for L^-1 M L^-T;
+    # back-solving with L^T gives the b-normalized eigenvector
+    low = np.linalg.cholesky(b)
+    half = np.linalg.solve(low, 0.5 * (m_mat + m_mat.T))
+    _, vecs = np.linalg.eigh(np.linalg.solve(low, half.T))
     idx = 0 if direction == "min" else -1
-    return vecs[:, idx]
+    return np.linalg.solve(low.T, vecs[:, idx])
 
 
 def estimate_rcsv(op, r, direction, starts=8, seed=0, cfg=None, sweeps=40):

@@ -23,10 +23,11 @@ from nucrec.ensembles import EnsembleSpec, draw_operator, draw_low_rank_signal, 
 from nucrec.solvers import SolverConfig, solve_mbp, solve_mds, solve_mlasso
 from nucrec.cmsv import estimate_cmsv, brute_force_cmsv, estimate_rcsv, mric_upper_bound
 from nucrec.bounds import (
-    BoundReport,
     verify_bound,
     noise_operator_bound,
+    bound_mbp,
     bound_mbp_mric,
+    expected_subscript,
     BoundInapplicable,
 )
 
@@ -135,12 +136,7 @@ def _recover_trial(args):
     report = None
     if spec.n1 * spec.n2 <= 9:
         r = max(1, numerical_rank(x))
-        n_min = min(spec.n1, spec.n2)
-        kappa = params.get("kappa", 0.0)
-        if name == "mlasso":
-            tau = min(8.0 * r / (1.0 - kappa) ** 2, float(n_min))
-        else:
-            tau = min(8.0 * r, float(n_min))
+        tau = expected_subscript(name, r, params.get("kappa", 0.0), min(spec.n1, spec.n2))
         rho = brute_force_cmsv(op, tau, "min", samples=10_000 * 10, seed=derive_seed(seed, trial * 4 + 3))
         try:
             report = verify_bound(scn, res, name, params, rho)
@@ -363,10 +359,12 @@ def run_bounds_ledger(config, out_dir, jobs=1, formats=("csv", "json")):
             )
             res = solve_mbp(scn, eps, cfg)
             realized = frobenius_norm(np.asarray(res.x_hat) - x)
-            if rho.value > 0:
-                cb = 2.0 * eps / rho.value
-                cmsv_bound, cmsv_holds = cb, realized <= cb + 1e-9
-            else:
+            try:
+                cmsv_bound = bound_mbp(eps, rho.value)
+                # (2 eps + 10 abs_tol) / rho: the bound at the feasibility
+                # level solve_mbp certifies, ||y - A(x_hat)|| <= eps + 10 abs_tol
+                cmsv_holds = realized <= cmsv_bound + 10 * cfg.abs_tol / rho.value
+            except BoundInapplicable:
                 cmsv_bound, cmsv_holds = "", ""
             try:
                 mb = bound_mbp_mric(eps, delta_hat)

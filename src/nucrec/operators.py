@@ -33,6 +33,12 @@ class MeasurementOperator:
     def shape(self):
         return self.matrices.shape[1:]
 
+    @property
+    def flat(self):
+        """The m x (n1*n2) matrix acting on row-major vectorized input; a
+        read-only view of ``matrices``, so every apply is one matmul."""
+        return self.matrices.reshape(self.m, -1)
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -79,7 +85,7 @@ def _check_shape(op, x):
 def apply_op(op, x):
     """Forward map: component k is the trace inner product <A_k, x>."""
     x = _check_shape(op, x)
-    return np.tensordot(op.matrices, x, axes=([1, 2], [0, 1]))
+    return op.flat @ x.reshape(-1)
 
 
 def adjoint(op, z):
@@ -87,7 +93,7 @@ def adjoint(op, z):
     z = np.asarray(z, dtype=float)
     if z.shape != (op.m,):
         raise ValueError(f"vector length {z.shape} does not match m={op.m}")
-    return np.tensordot(z, op.matrices, axes=1)
+    return (z @ op.flat).reshape(op.shape)
 
 
 def scale(op, c):
@@ -102,7 +108,7 @@ def gram_apply(op, x):
 
 def as_matrix(op):
     """Explicit m x (n1*n2) matrix acting on row-major vectorized input."""
-    return op.matrices.reshape(op.m, -1).copy()
+    return op.flat.copy()
 
 
 def make_scenario(op, x_true, noise_kind="none", epsilon=0.0, sigma=0.0, seed=0, w=None):

@@ -63,6 +63,16 @@ def vectorized_apply(matrices, x):
     return a_mat @ np.asarray(x).reshape(-1)
 
 
+def tensordot_apply(matrices, x):
+    """apply() as a contraction of the (m, n1, n2) stack with x."""
+    return np.tensordot(matrices, x, axes=([1, 2], [0, 1]))
+
+
+def tensordot_adjoint(matrices, z):
+    """adjoint() as the z-weighted sum of the (m, n1, n2) stack."""
+    return np.tensordot(z, matrices, axes=1)
+
+
 def mbp_orthonormal_oracle(y_mat, epsilon):
     """Closed form for nuclear-norm minimization subject to an l2 data ball
     when the operator is the orthonormal matrix-entry basis.

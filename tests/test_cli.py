@@ -202,6 +202,42 @@ class TestRunners:
         for row in data["rows"]:
             assert row["mric_applicable"] in (True, False)
 
+    @pytest.mark.parametrize("seed", [1, 24])
+    def test_bounds_ledger_noiseless_rows_hold(self, tmp_path, seed):
+        # at epsilon = 0 the realized error is at the solver tolerance, not 0
+        doc = {
+            "kind": "bounds",
+            "ensemble": {"kind": "gaussian", "n1": 3, "n2": 3, "m": 20, "normalize": True},
+            "signal": {"r": 1},
+            "epsilon_grid": [0.0, 0.05],
+            "trials": 1,
+            "seed": seed,
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = json.loads((out / "bounds.json").read_text())["rows"]
+        assert [row["epsilon"] for row in rows] == [0.0, 0.05]
+        assert all(row["cmsv_holds"] is True for row in rows)
+
+    def test_oracle_sized_runs_with_null_space(self, tmp_path):
+        # m < n1*n2: rho is zero up to roundoff, and both runners still finish
+        ensemble = {"kind": "gaussian", "n1": 3, "n2": 3, "m": 6, "normalize": True}
+        cfg = write_config(tmp_path, recover_config(ensemble=ensemble, trials=1))
+        assert main(["recover", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_OK
+        doc = {
+            "kind": "bounds",
+            "ensemble": ensemble,
+            "signal": {"r": 1},
+            "epsilon_grid": [0.0, 0.1],
+            "trials": 1,
+            "seed": 5,
+        }
+        cfg = write_config(tmp_path, doc, name="bounds.json")
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+        rows = json.loads((tmp_path / "b" / "bounds.json").read_text())["rows"]
+        assert all(row["rho_hat"] <= 1e-12 for row in rows)
+
     def test_bounds_ledger_rejects_large_instance(self, tmp_path):
         doc = {
             "kind": "bounds",

@@ -11,7 +11,7 @@ from nucrec.cmsv import (
 )
 from nucrec.ensembles import EnsembleSpec, draw_operator
 from nucrec.linalg import lstar_rank, numerical_rank
-from nucrec.operators import MeasurementOperator, apply_op
+from nucrec.operators import MeasurementOperator, apply_op, as_matrix
 from oracles import rank1_angle_grid_value, htau_sigma_grid_2d
 
 
@@ -144,6 +144,43 @@ class TestBruteForce:
         bf = brute_force_cmsv(tiny_op(seed=13), 1.3, "max", samples=10_000, seed=1)
         assert np.linalg.norm(bf.witness) == pytest.approx(1.0, abs=1e-9)
         assert lstar_rank(bf.witness) <= 1.3 + 1e-9
+
+
+class TestBruteForceExact:
+    """At tau = n_min the constraint is vacuous: one SVD gives the value."""
+
+    @pytest.mark.parametrize("n1, n2, m", [(2, 2, 6), (3, 3, 12), (1, 3, 5)])
+    def test_matches_operator_svd(self, n1, n2, m):
+        op = tiny_op(seed=20, n1=n1, n2=n2, m=m)
+        sv = np.linalg.svd(as_matrix(op), compute_uv=False)
+        lo = brute_force_cmsv(op, float(min(n1, n2)), "min")
+        hi = brute_force_cmsv(op, float(min(n1, n2)), "max")
+        assert lo.value == pytest.approx(sv[-1], rel=1e-12, abs=0)
+        assert hi.value == pytest.approx(sv[0], rel=1e-12, abs=0)
+
+    def test_fewer_measurements_than_entries(self):
+        # m < n1*n2: the operator has a null space, so the minimum is zero
+        op = tiny_op(seed=21, n1=3, n2=3, m=6)
+        sigma_max = np.linalg.svd(as_matrix(op), compute_uv=False)[0]
+        assert brute_force_cmsv(op, 3.0, "min").value <= 1e-12 * sigma_max
+
+    @pytest.mark.parametrize("direction", ["min", "max"])
+    def test_witness_unit_and_feasible(self, direction):
+        op = tiny_op(seed=22, n1=3, n2=3, m=12)
+        est = brute_force_cmsv(op, 3.0, direction)
+        assert est.evidence == ("upper_bound_on_min" if direction == "min" else "lower_bound_on_max")
+        assert np.linalg.norm(est.witness) == pytest.approx(1.0, abs=1e-12)
+        assert lstar_rank(est.witness) <= 3.0 * (1 + 1e-9)
+        assert est.value == np.linalg.norm(apply_op(op, est.witness))
+
+    def test_argument_checks_still_apply(self):
+        op = tiny_op(seed=23)
+        with pytest.raises(ValueError):
+            brute_force_cmsv(op, 2.0, "min", samples=100)
+        with pytest.raises(ValueError):
+            brute_force_cmsv(op, 2.0, "median")
+        with pytest.raises(ValueError):
+            brute_force_cmsv(draw_operator(EnsembleSpec("gaussian", 4, 3, 5, seed=0)), 3.0, "min")
 
 
 class TestEstimateRcsv:

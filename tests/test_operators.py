@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nucrec.operators import (
     MeasurementOperator,
@@ -14,11 +16,21 @@ from nucrec.operators import (
     scenario_to_json,
     scenario_from_json,
 )
-from oracles import vectorized_apply
+from oracles import tensordot_adjoint, tensordot_apply, vectorized_apply
 
 
 def random_op(rng, n1, n2, m):
     return MeasurementOperator(rng.standard_normal((m, n1, n2)))
+
+
+@st.composite
+def operators_with_inputs(draw):
+    m, n1, n2 = draw(st.integers(1, 24)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+    mats = draw(hnp.arrays(np.float64, (m, n1, n2), elements=entries))
+    x = draw(hnp.arrays(np.float64, (n1, n2), elements=entries))
+    z = draw(hnp.arrays(np.float64, (m,), elements=entries))
+    return MeasurementOperator(mats), x, z
 
 
 class TestApply:
@@ -114,6 +126,21 @@ class TestScaleAndGram:
         lhs = np.tensordot(gram_apply(op, x), y)
         rhs = np.tensordot(x, gram_apply(op, y))
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(operators_with_inputs())
+    def test_flat_matmul_equals_tensordot_bitwise(self, case):
+        op, x, z = case
+        assert np.array_equal(apply_op(op, x), tensordot_apply(op.matrices, x))
+        assert np.array_equal(adjoint(op, z), tensordot_adjoint(op.matrices, z))
+        gram = tensordot_adjoint(op.matrices, tensordot_apply(op.matrices, x))
+        assert np.array_equal(gram_apply(op, x), gram)
+
+    def test_flat_is_a_view(self):
+        op = random_op(np.random.default_rng(16), 2, 3, 4)
+        assert op.flat.shape == (4, 6)
+        assert np.shares_memory(op.flat, op.matrices)
+        assert not op.flat.flags.writeable
 
     def test_as_matrix_consistent(self):
         rng = np.random.default_rng(14)
