@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nucrec.linalg import svd, lstar_rank, numerical_rank
+from nucrec.linalg import lstar_rank, numerical_rank
 from nucrec.operators import apply_op, gram_apply
 from nucrec.solvers import SolverConfig, power_iteration_gram_norm
 from nucrec.ensembles import derive_seed
@@ -72,80 +72,82 @@ class RcsvEstimate:
             raise ValueError("witness violates the rank constraint")
 
 
-def _project_sigma(sigma, tau):
-    """Project a nonnegative singular value vector onto
-    {s >= 0, ||s||_2 = 1, ||s||_1 <= sqrt(tau)}, maximizing alignment
-    with ``sigma``.
+def _project_singular_values(sigmas, tau):
+    """Project each nonincreasing, nonnegative row of ``sigmas`` onto
+    {s >= 0, ||s||_2 = 1, ||s||_1 <= sqrt(tau)}, maximizing alignment with
+    the row.
 
-    Normalizes to unit l2; when the l1 constraint is active, soft-thresholds
-    at a level found by bisection so the normalized vector has l1 norm
-    exactly sqrt(tau).
+    Exact and iteration-free (Hoyer, JMLR 2004): when the l1 constraint is
+    active the solution is a soft-threshold of the row, normalized.  The
+    support size k is the first breakpoint at which thresholding at the
+    next entry reaches l1/l2 >= sqrt(tau); on that support the closed form
+    s_i = sqrt(tau)/k - beta*(d_i - mean_k d) has l1 = sqrt(tau) and l2 = 1.
+    Everything is written in the distances d_i = s_1 - s_i below the top
+    entry, which are exact for near-ties and make the centred sums stable.
+
+    A tied top group of t >= tau entries has no such threshold: every
+    point of the group with l1 = sqrt(tau) is a maximizer.  The tie breaks
+    deterministically as the limit of the row perturbed by -eps*i.
     """
-    target = np.sqrt(tau)
-    nrm = np.linalg.norm(sigma)
-    if nrm == 0.0:
-        raise ValueError("zero singular value vector")
-    s = sigma / nrm
-    if np.sum(s) <= target * (1 + 1e-15):
-        return s
-    lo, hi = 0.0, float(np.max(s))
-    for _ in range(200):
-        theta = 0.5 * (lo + hi)
-        sh = np.maximum(s - theta, 0.0)
-        l2 = np.linalg.norm(sh)
-        if l2 == 0.0:
-            hi = theta
-            continue
-        if np.sum(sh) / l2 > target:
-            lo = theta
-        else:
-            hi = theta
-    sh = np.maximum(s - hi, 0.0)
-    return sh / np.linalg.norm(sh)
-
-
-def _project_sigma_batch(sigmas, tau):
-    """Vectorized version of :func:`_project_sigma` over rows of ``sigmas``."""
     target = np.sqrt(tau)
     s = sigmas / np.linalg.norm(sigmas, axis=1, keepdims=True)
     need = np.sum(s, axis=1) > target
-    if np.any(need):
-        sub = s[need]
-        lo = np.zeros(len(sub))
-        hi = np.max(sub, axis=1)
-        for _ in range(100):
-            theta = 0.5 * (lo + hi)
-            sh = np.maximum(sub - theta[:, None], 0.0)
-            l2 = np.linalg.norm(sh, axis=1)
-            ratio = np.where(l2 > 0, np.sum(sh, axis=1) / np.where(l2 > 0, l2, 1.0), 0.0)
-            high = ratio > target
-            lo = np.where(high, theta, lo)
-            hi = np.where(high, hi, theta)
-        sh = np.maximum(sub - hi[:, None], 0.0)
-        s[need] = sh / np.linalg.norm(sh, axis=1, keepdims=True)
+    if not np.any(need):
+        return s
+    sub = s[need]
+    rows = np.arange(len(sub))
+    k = np.arange(1.0, sub.shape[1] + 1)
+    d = sub[:, :1] - sub
+    top = np.count_nonzero(d == 0.0, axis=1)
+    tied = top >= tau
+    # the -eps*i perturbation of a tied group, rescaled: distances 0..t-1
+    d[tied] = np.minimum(k - 1, top[tied, None] - 1)
+    e1 = np.cumsum(d, axis=1)
+    mean = e1 / k
+    # sum of squared deviations; d_1 = 0 bounds the cancellation by k + 1
+    dev2 = np.maximum(np.cumsum(d * d, axis=1) - e1 * mean, 0.0)
+    # distance of the next breakpoint; thresholding at 0 ends the row
+    gap = np.concatenate([d[:, 1:], sub[:, :1]], axis=1) - mean
+    # gap = 0: the threshold ties the whole support, which leaves it empty
+    passes = (gap > 0) & (k * (k - tau) * gap**2 >= tau * dev2)
+    passes[:, -1] = True  # the whole row has l1 > sqrt(tau)
+    passes[rows[tied], top[tied] - 1] = True  # the support of a tie ends at the group
+    last = np.argmax(passes, axis=1)
+    size = last + 1.0
+    spread = dev2[rows, last]
+    beta = np.sqrt(
+        np.divide(np.maximum(size - tau, 0.0), size * spread, out=np.zeros_like(spread), where=spread > 0)
+    )
+    out = target / size[:, None] - beta[:, None] * (d - mean[rows, last][:, None])
+    out = np.where(k <= size[:, None], np.maximum(out, 0.0), 0.0)
+    s[need] = out / np.linalg.norm(out, axis=1, keepdims=True)
     return s
 
 
-def _check_tau(op, tau):
-    n_min = min(op.shape)
+def retract(batch, tau):
+    """Nearest points of {||X||_F = 1, ||X||_*^2 <= tau} to a (b, n1, n2)
+    batch: each matrix keeps its singular vectors and has its singular
+    values projected by :func:`_project_singular_values`.
+    """
+    u, s, vt = np.linalg.svd(batch, full_matrices=False)
+    return np.einsum("bij,bj,bjk->bik", u, _project_singular_values(s, tau), vt)
+
+
+def _check_tau(shape, tau):
+    n_min = min(shape)
     if not 1.0 <= tau <= n_min + 1e-12:
         raise ValueError(f"tau={tau} out of range [1, {n_min}]")
 
 
 def project_htau(x, tau):
     """Retract ``x`` onto the unit-Frobenius sphere intersected with the
-    nuclear-norm ball ||X||_*^2 <= tau.
-
-    Operates on the singular value vector (alignment-optimal for fixed
-    singular subspaces); output satisfies both constraints to 1e-9.
+    nuclear-norm ball ||X||_*^2 <= tau (:func:`retract` on a batch of one).
     """
     x = np.asarray(x, dtype=float)
-    n_min = min(x.shape)
-    if not 1.0 <= tau <= n_min + 1e-12:
-        raise ValueError(f"tau={tau} out of range [1, {n_min}]")
-    f = svd(x)
-    s = _project_sigma(f.sigma, tau)
-    return (f.u * s) @ f.v.T
+    _check_tau(x.shape, tau)
+    if not np.any(x):
+        raise ValueError("cannot retract the zero matrix")
+    return retract(x[None], tau)[0]
 
 
 def _witness_values(op, batch):
@@ -163,7 +165,7 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
     retracting onto the feasible set after each step.  Ties across starts
     resolve to the lowest start index.
     """
-    _check_tau(op, tau)
+    _check_tau(op.shape, tau)
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     if starts < 1:
@@ -178,11 +180,6 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
         max_iters = min(cfg.max_iters, 300)
     flat = op.flat
 
-    def retract(batch):
-        u, s, vt = np.linalg.svd(batch, full_matrices=False)
-        s = _project_sigma_batch(s, tau)
-        return np.einsum("bij,bj,bjk->bik", u, s, vt)
-
     # starts run in lockstep as one batch; updates are independent per start
     x0 = np.stack(
         [
@@ -191,7 +188,7 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
             for k in range(starts)
         ]
     )
-    x = retract(x0)
+    x = retract(x0, tau)
     if lam > 0.0:
         step = 1.0 / (2.0 * lam)
         vals = _witness_values(op, x)
@@ -204,7 +201,7 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
             dead = np.linalg.norm(stepped, axis=(1, 2)) <= 1e-12
             if np.any(dead):
                 stepped[dead] = x[dead]
-            x = retract(stepped)
+            x = retract(stepped, tau)
             new_vals = _witness_values(op, x)
             if np.all(np.abs(new_vals - vals) <= cfg.rel_tol * np.maximum(vals, 1e-300)):
                 vals = new_vals
@@ -227,23 +224,21 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
     )
 
 
-def _sample_feasible_batch(rng, count, shape, tau):
-    raw = rng.standard_normal((count,) + shape)
-    u, s, vt = np.linalg.svd(raw, full_matrices=False)
-    s = _project_sigma_batch(s, tau)
-    return np.einsum("bij,bj,bjk->bik", u, s, vt)
-
-
 def _exact_cmsv(op, tau, direction):
     """Extremal value at tau >= n_min, where ||X||_*^2 <= tau ||X||_F^2 holds
     for every X: the extreme singular value of the m x (n1*n2) operator
     matrix, witnessed by its right singular vector.  The full factorization
-    keeps the null vectors of an operator with m < n1*n2.
+    keeps the null vectors of an operator with m < n1*n2.  When the matrix
+    has numerical rank below n1*n2 the minimum is reported as exactly 0,
+    not as the roundoff-level norm of the null witness.
     """
-    _, _, vt = np.linalg.svd(op.flat, full_matrices=True)
+    _, sv, vt = np.linalg.svd(op.flat, full_matrices=True)
     witness = vt[-1 if direction == "min" else 0].reshape(op.shape)
     witness = witness / np.linalg.norm(witness)
     value = float(np.linalg.norm(apply_op(op, witness)))
+    rank = np.count_nonzero(sv > sv[0] * max(op.flat.shape) * np.finfo(float).eps)
+    if direction == "min" and rank < vt.shape[0]:
+        value = 0.0
     return CmsvEstimate(
         tau=float(tau),
         direction=direction,
@@ -268,7 +263,7 @@ def brute_force_cmsv(op, tau, direction, samples=100_000, seed=0, refine=True):
     semantics as :func:`estimate_cmsv`.  With ``refine=False`` and a shared
     seed, two operators are evaluated on the identical sample set.
     """
-    _check_tau(op, tau)
+    _check_tau(op.shape, tau)
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     n1, n2 = op.shape
@@ -288,7 +283,7 @@ def brute_force_cmsv(op, tau, direction, samples=100_000, seed=0, refine=True):
     while remaining > 0:
         count = min(chunk, remaining)
         remaining -= count
-        batch = _sample_feasible_batch(rng, count, (n1, n2), tau)
+        batch = retract(rng.standard_normal((count, n1, n2)), tau)
         vals = _witness_values(op, batch)
         i = int(pick(vals))
         cand = float(vals[i])
@@ -304,10 +299,7 @@ def brute_force_cmsv(op, tau, direction, samples=100_000, seed=0, refine=True):
                 np.random.Philox(np.random.SeedSequence(derive_seed(seed, round_idx)))
             )
             noise = rng_r.standard_normal((2000, n1, n2))
-            cand = best_x[None, :, :] + radius * noise
-            u, s, vt = np.linalg.svd(cand, full_matrices=False)
-            s = _project_sigma_batch(s, tau)
-            cand = np.einsum("bij,bj,bjk->bik", u, s, vt)
+            cand = retract(best_x[None, :, :] + radius * noise, tau)
             vals = _witness_values(op, cand)
             i = int(pick(vals))
             better = vals[i] < best_val if direction == "min" else vals[i] > best_val

@@ -62,9 +62,7 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "tau": {"type": "number", "minimum": 1},
-                "r": {"type": "integer", "minimum": 1},
                 "starts": {"type": "integer", "minimum": 1},
-                "samples": {"type": "integer", "minimum": 10000},
                 "m_sweep": {
                     "type": "array",
                     "items": {"type": "integer", "minimum": 1},

@@ -27,7 +27,6 @@ class SolverConfig:
     max_iters: int = 20000
     abs_tol: float = 1e-8
     rel_tol: float = 1e-6
-    step_rule: tuple = None  # None = auto; ('fixed', t) or ('backtracking', beta, t0)
     admm_rho: float = 1.0
 
     def __post_init__(self):
@@ -35,10 +34,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if self.admm_rho <= 0:
             raise ValueError("admm_rho must be positive")
-        if self.step_rule is not None and self.step_rule[0] == "backtracking":
-            beta = self.step_rule[1]
-            if not 0 < beta < 1:
-                raise ValueError("backtracking beta must lie in (0, 1)")
 
 
 @dataclass
@@ -205,10 +200,7 @@ def solve_mlasso(scenario, mu, cfg=None):
     op = scenario.operator
     y = scenario.y
     lam_gram = power_iteration_gram_norm(op)
-    if cfg.step_rule is not None and cfg.step_rule[0] == "fixed":
-        step = cfg.step_rule[1]
-    else:
-        step = 1.0 / (lam_gram * 1.0000001) if lam_gram > 0 else 1.0
+    step = 1.0 / (lam_gram * 1.0000001) if lam_gram > 0 else 1.0
 
     def objective(x):
         r = y - apply_op(op, x)

@@ -119,3 +119,40 @@ def htau_sigma_grid_2d(sigma, tau, points=4000):
     s = s[feasible]
     scores = s @ sigma
     return s[np.argmax(scores)]
+
+
+def project_sigma_bisection(sigma, tau, steps=200):
+    """Reference projection of a nonincreasing, nonnegative vector onto
+    {s >= 0, ||s||_2 = 1, ||s||_1 <= sqrt(tau)}, maximizing alignment.
+
+    Bisects in np.longdouble on c = s_1 - theta, the height of the top
+    entry above the soft threshold theta, so near-ties are resolved below
+    the float64 spacing.  The result is the normalized soft-threshold on the
+    feasible side, l1 <= sqrt(tau).  A tied top group of t >= tau entries
+    has no threshold; it returns the point of the group with one entry x
+    and t - 1 entries y, x + (t-1) y = sqrt(tau) and x^2 + (t-1) y^2 = 1.
+    """
+    s = np.asarray(sigma, dtype=np.longdouble)
+    s = s / np.sqrt(np.sum(s * s))
+    target = np.sqrt(np.longdouble(tau))
+    if np.sum(s) <= target:
+        return s
+    d = s[0] - s
+    top = int(np.count_nonzero(d == 0))
+    if top >= tau:
+        x = (target + np.sqrt((top - 1) * (top - np.longdouble(tau)))) / top
+        out = np.zeros_like(s)
+        out[0] = x
+        if top > 1:
+            out[1:top] = (target - x) / (top - 1)
+        return out
+    lo, hi = np.longdouble(0), s[0]
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        sh = np.maximum(mid - d, 0)
+        if np.sum(sh) / np.sqrt(np.sum(sh * sh)) > target:
+            hi = mid
+        else:
+            lo = mid
+    sh = np.maximum(lo - d, 0)
+    return sh / np.sqrt(np.sum(sh * sh))

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -14,6 +15,12 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def read_csv_rows(path):
+    with open(path, newline="") as fh:
+        next(fh)  # the config_hash line
+        return list(csv.DictReader(fh))
 
 
 def recover_config(**overrides):
@@ -68,6 +75,12 @@ class TestExitCodes:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, cmsv_config(bogus=1))
         assert main(["cmsv", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, value", [("samples", 100_000), ("r", 2)])
+    def test_removed_estimation_keys_rejected(self, tmp_path, key, value):
+        # these keys were accepted but never read
+        doc = cmsv_config(estimation={"tau": 2.0, "starts": 4, key: value})
+        assert main(["cmsv", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
 
     def test_kind_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, cmsv_config())
@@ -237,6 +250,30 @@ class TestRunners:
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
         rows = json.loads((tmp_path / "b" / "bounds.json").read_text())["rows"]
         assert all(row["rho_hat"] <= 1e-12 for row in rows)
+
+    def test_rank_deficient_operator_leaves_bound_empty(self, tmp_path):
+        # m < n1*n2: rho is exactly 0, so the mBP bound is inapplicable; a
+        # roundoff-level rho used to give bounds of 0 and about 1e14
+        ensemble = {"kind": "gaussian", "n1": 3, "n2": 3, "m": 6, "normalize": True}
+        cfg = write_config(tmp_path, recover_config(ensemble=ensemble, trials=1))
+        assert main(["recover", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_OK
+        (row,) = read_csv_rows(tmp_path / "r" / "recover.csv")
+        assert row["bound_value"] == "" and row["holds"] == ""
+        doc = {
+            "kind": "bounds",
+            "ensemble": ensemble,
+            "signal": {"r": 1},
+            "epsilon_grid": [0.0, 0.05],
+            "trials": 1,
+            "seed": 5,
+        }
+        cfg = write_config(tmp_path, doc, name="bounds.json")
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+        rows = read_csv_rows(tmp_path / "b" / "bounds.csv")
+        assert [row["epsilon"] for row in rows] == ["0.0", "0.05"]
+        for row in rows:
+            assert float(row["rho_hat"]) == 0.0
+            assert row["cmsv_bound"] == "" and row["cmsv_holds"] == ""
 
     def test_bounds_ledger_rejects_large_instance(self, tmp_path):
         doc = {

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nucrec.cmsv import (
     CmsvEstimate,
+    _project_singular_values,
     estimate_cmsv,
     brute_force_cmsv,
     estimate_rcsv,
@@ -12,7 +14,7 @@ from nucrec.cmsv import (
 from nucrec.ensembles import EnsembleSpec, draw_operator
 from nucrec.linalg import lstar_rank, numerical_rank
 from nucrec.operators import MeasurementOperator, apply_op, as_matrix
-from oracles import rank1_angle_grid_value, htau_sigma_grid_2d
+from oracles import rank1_angle_grid_value, htau_sigma_grid_2d, project_sigma_bisection
 
 
 def tiny_op(seed, n1=2, n2=2, m=6, normalize=True):
@@ -57,6 +59,63 @@ class TestProjectHtau:
             project_htau(np.eye(2), 0.5)
         with pytest.raises(ValueError):
             project_htau(np.eye(2), 2.5)
+
+    @pytest.mark.parametrize("x, tau", [(np.eye(2), 1.5), (np.eye(3), 2.0), (np.eye(4), 2.5)])
+    def test_exactly_tied_singular_values(self, x, tau):
+        # a tied top group larger than tau has no soft threshold
+        out = project_htau(x, tau)
+        assert np.all(np.isfinite(out))
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+        assert lstar_rank(out) <= tau * (1 + 1e-9)
+        # every maximizer puts all its mass on the tied group
+        assert np.trace(out) == pytest.approx(np.sqrt(tau), abs=1e-12)
+
+
+@st.composite
+def sigma_rows(draw):
+    """Nonincreasing nonnegative rows with generic values, near-ties, exact
+    ties or trailing zeros, and a tau in [1, n] leaning on its ends."""
+    n = draw(st.integers(1, 10))
+    values = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["generic", "near_ties", "exact_ties", "trailing_zeros"]))
+    if kind == "near_ties":
+        ulps = np.cumsum(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        values = values[0] - ulps * np.spacing(values[0])
+    elif kind == "exact_ties":
+        values = np.round(values, 1) + 0.05
+    elif kind == "trailing_zeros":
+        values[draw(st.integers(1, n)):] = 0.0
+    row = np.sort(values)[::-1]
+    tau = draw(
+        st.one_of(
+            st.floats(1.0, float(n)),
+            st.sampled_from([1.0, 1.0 + 1e-12, 1.0 + 1e-9, float(n), max(1.0, n - 1e-12)]),
+        )
+    )
+    return row, tau
+
+
+class TestProjectSingularValues:
+    @settings(max_examples=300, deadline=None)
+    @given(sigma_rows())
+    def test_feasible_and_optimal_against_bisection(self, case):
+        row, tau = case
+        s = _project_singular_values(row[None, :], tau)[0]
+        ref = project_sigma_bisection(row, tau)
+        unit = row / np.linalg.norm(row)
+        assert np.all(np.isfinite(s)) and np.all(s >= 0)
+        assert abs(np.linalg.norm(s) - 1.0) <= 1e-12
+        assert np.sum(s) <= np.sqrt(tau) * (1 + 1e-12)
+        # ties make the maximizer non-unique: compare alignments, not vectors
+        assert s @ unit >= float(ref @ unit.astype(np.longdouble)) - 1e-12
+
+    def test_rows_are_independent(self):
+        rng = np.random.default_rng(4)
+        rows = -np.sort(-rng.random((6, 5)), axis=1)
+        rows[2] = [0.5, 0.5, 0.5, 0.1, 0.0]
+        batch = _project_singular_values(rows, 2.2)
+        for row, got in zip(rows, batch):
+            assert np.array_equal(got, _project_singular_values(row[None, :], 2.2)[0])
 
 
 class TestEstimateCmsv:
@@ -161,8 +220,16 @@ class TestBruteForceExact:
     def test_fewer_measurements_than_entries(self):
         # m < n1*n2: the operator has a null space, so the minimum is zero
         op = tiny_op(seed=21, n1=3, n2=3, m=6)
-        sigma_max = np.linalg.svd(as_matrix(op), compute_uv=False)[0]
-        assert brute_force_cmsv(op, 3.0, "min").value <= 1e-12 * sigma_max
+        assert brute_force_cmsv(op, 3.0, "min").value == 0.0
+
+    def test_numerically_rank_deficient_is_zero(self):
+        # m >= n1*n2 but repeated measurements leave a null space
+        half = tiny_op(seed=24, n1=3, n2=3, m=6).matrices
+        op = MeasurementOperator(np.concatenate([half, 2.0 * half]))
+        est = brute_force_cmsv(op, 3.0, "min")
+        assert est.value == 0.0
+        assert np.linalg.norm(est.witness) == pytest.approx(1.0, abs=1e-12)
+        assert brute_force_cmsv(op, 3.0, "max").value > 0.0
 
     @pytest.mark.parametrize("direction", ["min", "max"])
     def test_witness_unit_and_feasible(self, direction):

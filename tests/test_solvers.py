@@ -181,10 +181,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(admm_rho=-1.0)
 
-    def test_bad_backtracking_beta(self):
-        with pytest.raises(ValueError):
-            SolverConfig(step_rule=("backtracking", 1.5, 1.0))
-
     def test_max_iters_flags_nonconvergence(self):
         op, x, scn = gaussian_instance(seed=40, noise="gaussian", sigma=0.05)
         res = solve_mlasso(scn, 0.01, SolverConfig(max_iters=2))
