@@ -48,8 +48,7 @@ from nucrec.solvers import (
     power_iteration_gram_norm,
 )
 from nucrec.cmsv import (
-    CmsvEstimate,
-    RcsvEstimate,
+    Estimate,
     project_htau,
     estimate_cmsv,
     brute_force_cmsv,

@@ -3,9 +3,8 @@ restricted-isometry-based alternatives, the noise correlation calibration
 helper, and the assembled bound-versus-realized-error report.
 """
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,46 +112,6 @@ class BoundReport:
     cone_check: dict
     rho_onesided: bool = True
 
-    CSV_COLUMNS = (
-        "algorithm",
-        "realized_error",
-        "bound_value",
-        "holds",
-        "slack_ratio",
-        "r",
-        "noise_param",
-        "kappa",
-        "rho_estimate",
-        "rho_subscript",
-        "tau_H",
-        "tau_limit",
-        "cone_satisfied",
-        "rho_onesided",
-    )
-
-    def to_json(self):
-        return json.dumps(asdict(self))
-
-    def to_csv_row(self):
-        bi = self.bound_inputs
-        cells = [
-            self.algorithm,
-            repr(self.realized_error),
-            repr(self.bound_value),
-            str(self.holds),
-            repr(self.slack_ratio),
-            str(bi.get("r", "")),
-            repr(bi.get("noise_param", "")),
-            repr(bi.get("kappa", "")),
-            repr(bi.get("rho_estimate", "")),
-            repr(bi.get("rho_subscript", "")),
-            repr(self.cone_check.get("tau_H", "")),
-            repr(self.cone_check.get("tau_limit", "")),
-            str(self.cone_check.get("satisfied", "")),
-            str(self.rho_onesided),
-        ]
-        return ",".join(cells)
-
 
 def expected_subscript(algorithm, r, kappa, n_min):
     """Constraint level tau of the rho estimate a bound needs:
@@ -166,9 +125,9 @@ def verify_bound(scenario, result, algorithm, params, rho_estimate, rank_tol=1e-
     """Assemble a :class:`BoundReport` for a completed solve.
 
     ``params`` carries the program parameter ('epsilon', 'lambda' or 'mu',
-    plus 'kappa' for the LASSO).  ``rho_estimate`` must target the
-    algorithm's constraint level, min(8r, n1^n2) for mBP/mDS and
-    min(8r/(1-kappa)^2, ...) for mLASSO; a mismatch raises ValueError.
+    plus 'kappa' for the LASSO).  ``rho_estimate`` must be a tau-constrained
+    estimate at the algorithm's constraint level (:func:`expected_subscript`);
+    a rank-constrained estimate or another level raises ValueError.
     """
     if algorithm not in ("mbp", "mds", "mlasso"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -179,9 +138,10 @@ def verify_bound(scenario, result, algorithm, params, rho_estimate, rank_tol=1e-
     n_min = min(x_true.shape)
     kappa = params.get("kappa", 0.0)
     expected_tau = expected_subscript(algorithm, r, kappa, n_min)
-    if abs(rho_estimate.tau - expected_tau) > 1e-9 * max(1.0, expected_tau):
+    tau = rho_estimate.tau
+    if tau is None or abs(tau - expected_tau) > 1e-9 * max(1.0, expected_tau):
         raise ValueError(
-            f"rho estimate at tau={rho_estimate.tau}, algorithm needs {expected_tau}"
+            f"rho estimate at tau={tau}, algorithm needs {expected_tau}"
         )
     rho = rho_estimate.value
 

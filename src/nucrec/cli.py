@@ -42,7 +42,9 @@ def build_parser():
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--trials", type=int, default=None, help="override trial count")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the trials; noise-cal is one operator "
+                       "and runs in one process")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=["csv", "json"], default=None,
                        help="restrict output to one format (default: both)")

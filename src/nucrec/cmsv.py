@@ -9,67 +9,51 @@ infimum and lower-bounds a supremum.  Witness feasibility is re-verified on
 every returned estimate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from nucrec.linalg import lstar_rank, numerical_rank
-from nucrec.operators import apply_op, gram_apply
+from nucrec.operators import apply_op
 from nucrec.solvers import SolverConfig, power_iteration_gram_norm
 from nucrec.ensembles import derive_seed
 
 
-@dataclass(frozen=True)
-class CmsvEstimate:
-    """One-sided estimate of a nuclear-norm-constrained extremal singular value.
-
-    ``evidence`` records the estimate's direction of validity:
-    'upper_bound_on_min' for direction='min', 'lower_bound_on_max' for
-    direction='max'.
+@dataclass(frozen=True, kw_only=True)
+class Estimate:
+    """One-sided estimate of an extremal singular value of an operator over
+    unit-Frobenius matrices, constrained either by the nuclear-norm ratio
+    ||X||_*^2 <= tau ||X||_F^2 (``tau`` set) or by rank(X) <= r (``r`` set).
+    Exactly one of ``tau`` and ``r`` is given, and the witness is checked
+    against it on construction.
     """
 
-    tau: float
+    tau: float | None = None
+    r: int | None = None
     direction: str
     value: float
     witness: np.ndarray
     starts: int
     per_start_values: tuple = ()
-    evidence: str = ""
 
     def __post_init__(self):
         if self.direction not in ("min", "max"):
             raise ValueError("direction must be 'min' or 'max'")
-        expected = "upper_bound_on_min" if self.direction == "min" else "lower_bound_on_max"
-        object.__setattr__(self, "evidence", expected)
+        if (self.tau is None) == (self.r is None):
+            raise ValueError("give exactly one of tau and r")
         w = np.asarray(self.witness, dtype=float)
         if abs(np.linalg.norm(w) - 1.0) > 1e-9:
             raise ValueError("witness must have unit Frobenius norm")
-        if lstar_rank(w) > self.tau * (1 + 1e-9):
+        if self.tau is not None and lstar_rank(w) > self.tau * (1 + 1e-9):
             raise ValueError("witness violates the nuclear-norm-ratio constraint")
-
-
-@dataclass(frozen=True)
-class RcsvEstimate:
-    """One-sided estimate of a rank-constrained extremal singular value."""
-
-    r: int
-    direction: str
-    value: float
-    witness: np.ndarray
-    starts: int
-    per_start_values: tuple = ()
-    evidence: str = ""
-
-    def __post_init__(self):
-        if self.direction not in ("min", "max"):
-            raise ValueError("direction must be 'min' or 'max'")
-        expected = "upper_bound_on_min" if self.direction == "min" else "lower_bound_on_max"
-        object.__setattr__(self, "evidence", expected)
-        w = np.asarray(self.witness, dtype=float)
-        if abs(np.linalg.norm(w) - 1.0) > 1e-9:
-            raise ValueError("witness must have unit Frobenius norm")
-        if numerical_rank(w, 1e-9) > self.r:
+        if self.r is not None and numerical_rank(w, 1e-9) > self.r:
             raise ValueError("witness violates the rank constraint")
+
+    @property
+    def evidence(self):
+        """'upper_bound_on_min' for direction='min', 'lower_bound_on_max'
+        for direction='max'."""
+        return "upper_bound_on_min" if self.direction == "min" else "lower_bound_on_max"
 
 
 def _project_singular_values(sigmas, tau):
@@ -214,7 +198,7 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
     best = int(np.argmin(vals)) if direction == "min" else int(np.argmax(vals))
     witness = witnesses[best]
     value = float(np.linalg.norm(apply_op(op, witness)))
-    return CmsvEstimate(
+    return Estimate(
         tau=float(tau),
         direction=direction,
         value=value,
@@ -239,13 +223,12 @@ def _exact_cmsv(op, tau, direction):
     rank = np.count_nonzero(sv > sv[0] * max(op.flat.shape) * np.finfo(float).eps)
     if direction == "min" and rank < vt.shape[0]:
         value = 0.0
-    return CmsvEstimate(
+    return Estimate(
         tau=float(tau),
         direction=direction,
         value=value,
         witness=witness,
         starts=1,
-        per_start_values=(),
     )
 
 
@@ -311,13 +294,12 @@ def brute_force_cmsv(op, tau, direction, samples=100_000, seed=0, refine=True):
     # exact feasibility of the reported witness
     witness = project_htau(best_x, tau)
     value = float(np.linalg.norm(apply_op(op, witness)))
-    return CmsvEstimate(
+    return Estimate(
         tau=float(tau),
         direction=direction,
         value=value,
         witness=witness,
         starts=samples,
-        per_start_values=(),
     )
 
 
@@ -392,7 +374,7 @@ def estimate_rcsv(op, r, direction, starts=8, seed=0, cfg=None, sweeps=40):
     # exact renormalization for the feasibility invariant
     witness = witness / np.linalg.norm(witness)
     value = float(np.linalg.norm(apply_op(op, witness)))
-    return RcsvEstimate(
+    return Estimate(
         r=int(r),
         direction=direction,
         value=value,

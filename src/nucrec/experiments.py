@@ -1,16 +1,15 @@
 """Experiment pipelines behind the CLI subcommands.
 
-Each runner takes a validated config dict, executes seeded trials (optionally
-in parallel over a worker pool), and writes plot-ready CSV plus a JSON
-summary.  Outputs are deterministic functions of (config, seed): per-trial
-seeds are derived from the master seed and the trial index, and aggregation
-is an ordered reduction by trial index.
+Each runner takes a validated config dict and is one call into :func:`_run`:
+it executes seeded trials (optionally in parallel over a worker pool) and
+writes plot-ready CSV plus a JSON summary.  Outputs are deterministic
+functions of (config, seed): per-trial seeds are derived from the master seed
+and the trial index, and aggregation is an ordered reduction by trial index.
 """
 
 import csv
 import hashlib
 import json
-import math
 import multiprocessing
 from pathlib import Path
 
@@ -30,8 +29,6 @@ from nucrec.bounds import (
     expected_subscript,
     BoundInapplicable,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 
 class SolverDidNotConverge(RuntimeError):
@@ -92,6 +89,28 @@ def _map_trials(worker, args_list, jobs):
     return [worker(a) for a in args_list]
 
 
+def _run(config, out_dir, jobs, formats, stem, columns, trial, summarize, args=None):
+    """The one runner skeleton: map ``trial`` over ``args`` in order (by
+    default ``(config, t)`` for each trial index t), flatten the row lists
+    it returns in trial order, then write ``<stem>.csv`` (the ``columns`` of
+    every row) and ``<stem>.json`` (the meta fields plus
+    ``summarize(config, rows)``).  ``trial`` is module-level so that a
+    worker pool can pickle it.
+    """
+    if args is None:
+        args = [(config, t) for t in range(config["trials"])]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = [row for trial_rows in _map_trials(trial, args, jobs) for row in trial_rows]
+    meta = _meta(config)
+    if "csv" in formats:
+        _write_csv(out / f"{stem}.csv", columns, [[row[c] for c in columns] for row in rows], meta)
+    summary = {**meta, **summarize(config, rows)}
+    if "json" in formats:
+        _write_json(out / f"{stem}.json", summary)
+    return summary
+
+
 # --- recover ---------------------------------------------------------------
 
 
@@ -119,14 +138,14 @@ def _recover_trial(args):
     alg = config["algorithm"]
     name = alg["name"]
     if name == "mbp":
-        res = solve_mbp(scn, alg.get("epsilon", noise.get("epsilon", 0.0)), cfg)
         params = {"epsilon": alg.get("epsilon", noise.get("epsilon", 0.0))}
+        res = solve_mbp(scn, params["epsilon"], cfg)
     elif name == "mds":
-        res = solve_mds(scn, alg["lambda"], cfg)
         params = {"lambda": alg["lambda"]}
+        res = solve_mds(scn, alg["lambda"], cfg)
     elif name == "mlasso":
-        res = solve_mlasso(scn, alg["mu"], cfg)
         params = {"mu": alg["mu"], "kappa": alg.get("kappa", 0.5)}
+        res = solve_mlasso(scn, alg["mu"], cfg)
     else:
         raise ValueError(f"unknown algorithm {name!r}")
 
@@ -137,7 +156,7 @@ def _recover_trial(args):
     if spec.n1 * spec.n2 <= 9:
         r = max(1, numerical_rank(x))
         tau = expected_subscript(name, r, params.get("kappa", 0.0), min(spec.n1, spec.n2))
-        rho = brute_force_cmsv(op, tau, "min", samples=10_000 * 10, seed=derive_seed(seed, trial * 4 + 3))
+        rho = brute_force_cmsv(op, tau, "min", seed=derive_seed(seed, trial * 4 + 3))
         try:
             report = verify_bound(scn, res, name, params, rho)
         except BoundInapplicable:
@@ -158,7 +177,7 @@ def _recover_trial(args):
         "tau_H": report.cone_check["tau_H"] if report else "",
         "cone_satisfied": report.cone_check["satisfied"] if report else "",
     }
-    return row
+    return [row]
 
 
 RECOVER_COLUMNS = (
@@ -178,32 +197,21 @@ RECOVER_COLUMNS = (
 )
 
 
-def run_recover(config, out_dir, jobs=1, formats=("csv", "json")):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    trials = config["trials"]
-    rows = _map_trials(_recover_trial, [(config, t) for t in range(trials)], jobs)
-    meta = _meta(config)
-    if "csv" in formats:
-        _write_csv(
-        out / "recover.csv",
-        RECOVER_COLUMNS,
-        [[row[c] for c in RECOVER_COLUMNS] for row in rows],
-        meta,
-    )
-    n_conv = sum(1 for r in rows if r["converged"])
-    summary = {
-        **meta,
+def _recover_summary(config, rows):
+    return {
         "kind": "recover",
-        "trials": trials,
-        "converged": n_conv,
+        "trials": config["trials"],
+        "converged": sum(1 for r in rows if r["converged"]),
         "mean_relative_error": float(np.mean([r["relative_error"] for r in rows])),
         "rows": rows,
     }
-    if "json" in formats:
-        _write_json(out / "recover.json", summary)
-    if n_conv < trials:
-        raise SolverDidNotConverge(f"{trials - n_conv} of {trials} trials did not converge")
+
+
+def run_recover(config, out_dir, jobs=1, formats=("csv", "json")):
+    summary = _run(config, out_dir, jobs, formats, "recover", RECOVER_COLUMNS, _recover_trial, _recover_summary)
+    failed = summary["trials"] - summary["converged"]
+    if failed:
+        raise SolverDidNotConverge(f"{failed} of {summary['trials']} trials did not converge")
     return summary
 
 
@@ -221,34 +229,35 @@ def _cmsv_trial(args):
     cfg = _solver_config(config)
     lo = estimate_cmsv(op, tau, "min", starts=starts, seed=derive_seed(seed, trial * 2 + 1), cfg=cfg)
     hi = estimate_cmsv(op, tau, "max", starts=starts, seed=derive_seed(seed, trial * 2 + 1), cfg=cfg)
-    return {"trial": trial, "tau": tau, "rho_min": lo.value, "rho_max": hi.value}
+    return [{"trial": trial, "tau": tau, "rho_min": lo.value, "rho_max": hi.value}]
 
 
 CMSV_COLUMNS = ("trial", "tau", "rho_min", "rho_max")
 
 
-def run_cmsv(config, out_dir, jobs=1, formats=("csv", "json")):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    trials = config["trials"]
-    rows = _map_trials(_cmsv_trial, [(config, t) for t in range(trials)], jobs)
-    meta = _meta(config)
-    if "csv" in formats:
-        _write_csv(out / "cmsv.csv", CMSV_COLUMNS, [[row[c] for c in CMSV_COLUMNS] for row in rows], meta)
-    summary = {
-        **meta,
+def _cmsv_summary(config, rows):
+    return {
         "kind": "cmsv",
-        "trials": trials,
+        "trials": config["trials"],
         "mean_rho_min": float(np.mean([r["rho_min"] for r in rows])),
         "mean_rho_max": float(np.mean([r["rho_max"] for r in rows])),
         "rows": rows,
     }
-    if "json" in formats:
-        _write_json(out / "cmsv.json", summary)
-    return summary
+
+
+def run_cmsv(config, out_dir, jobs=1, formats=("csv", "json")):
+    return _run(config, out_dir, jobs, formats, "cmsv", CMSV_COLUMNS, _cmsv_trial, _cmsv_summary)
 
 
 # --- montecarlo ------------------------------------------------------------
+
+
+def _m_sweep(config):
+    return config.get("estimation", {}).get("m_sweep", [config["ensemble"]["m"]])
+
+
+def _epsilon_band(config):
+    return config.get("estimation", {}).get("epsilon_band", 0.35)
 
 
 def _montecarlo_trial(args):
@@ -265,27 +274,16 @@ def _montecarlo_trial(args):
     est_seed = derive_seed(seed, m * 100_003 + trial * 2 + 1)
     lo = estimate_cmsv(op, tau, "min", starts=starts, seed=est_seed, cfg=cfg)
     hi = estimate_cmsv(op, tau, "max", starts=starts, seed=est_seed, cfg=cfg)
-    return {"m": m, "trial": trial, "rho_min": lo.value, "rho_max": hi.value}
+    band = _epsilon_band(config)
+    in_band = bool(1.0 - band <= lo.value and hi.value <= 1.0 + band)
+    return [{"m": m, "trial": trial, "rho_min": lo.value, "rho_max": hi.value, "in_band": in_band}]
 
 
 MC_COLUMNS = ("m", "trial", "rho_min", "rho_max", "in_band")
 
 
-def run_montecarlo_cmsv(config, out_dir, jobs=1, formats=("csv", "json")):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    trials = config["trials"]
-    est = config.get("estimation", {})
-    m_sweep = est.get("m_sweep", [config["ensemble"]["m"]])
-    eps_band = est.get("epsilon_band", 0.35)
-    args = [(config, m, t) for m in m_sweep for t in range(trials)]
-    rows = _map_trials(_montecarlo_trial, args, jobs)
-    lo_b, hi_b = 1.0 - eps_band, 1.0 + eps_band
-    for row in rows:
-        row["in_band"] = bool(lo_b <= row["rho_min"] and row["rho_max"] <= hi_b)
-    meta = _meta(config)
-    if "csv" in formats:
-        _write_csv(out / "montecarlo.csv", MC_COLUMNS, [[row[c] for c in MC_COLUMNS] for row in rows], meta)
+def _montecarlo_summary(config, rows):
+    m_sweep = _m_sweep(config)
     per_m = {}
     for m in m_sweep:
         sub = [row for row in rows if row["m"] == m]
@@ -296,17 +294,20 @@ def run_montecarlo_cmsv(config, out_dir, jobs=1, formats=("csv", "json")):
             "std_rho_min": float(np.std([row["rho_min"] for row in sub])),
             "std_rho_max": float(np.std([row["rho_max"] for row in sub])),
         }
-    summary = {
-        **meta,
+    return {
         "kind": "montecarlo",
-        "trials": trials,
-        "epsilon_band": eps_band,
+        "trials": config["trials"],
+        "epsilon_band": _epsilon_band(config),
         "m_sweep": list(m_sweep),
         "per_m": per_m,
     }
-    if "json" in formats:
-        _write_json(out / "montecarlo.json", summary)
-    return summary
+
+
+def run_montecarlo_cmsv(config, out_dir, jobs=1, formats=("csv", "json")):
+    args = [(config, m, t) for m in _m_sweep(config) for t in range(config["trials"])]
+    return _run(
+        config, out_dir, jobs, formats, "montecarlo", MC_COLUMNS, _montecarlo_trial, _montecarlo_summary, args
+    )
 
 
 # --- bounds ledger ---------------------------------------------------------
@@ -323,74 +324,76 @@ LEDGER_COLUMNS = (
     "delta_hat",
 )
 
+EPSILON_GRID = (0.0, 0.05, 0.1, 0.2)
 
-def run_bounds_ledger(config, out_dir, jobs=1, formats=("csv", "json")):
-    """Realized mBP error versus both bound families on an oracle-sized
-    instance, over a grid of bounded-noise levels.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+
+def _bounds_trial(args):
+    """One operator and signal; one ledger row per epsilon, in grid order."""
+    config, trial = args
     e = config["ensemble"]
-    if e["n1"] * e["n2"] > 9:
-        raise ValueError("bounds ledger requires an oracle-sized instance (n1*n2 <= 9)")
     seed = config["seed"]
-    trials = config["trials"]
     sig = config["signal"]
-    eps_grid = config.get("epsilon_grid", [0.0, 0.05, 0.1, 0.2])
     cfg = _solver_config(config)
     n_min = min(e["n1"], e["n2"])
     r = sig["r"]
     tau_rho = min(8.0 * r, float(n_min))
     r4 = min(4 * r, n_min)
 
+    spec = _ensemble_spec(config, derive_seed(seed, trial * 8))
+    op = draw_operator(spec)
+    x = draw_low_rank_signal(e["n1"], e["n2"], r, sig.get("scale", 1.0), derive_seed(seed, trial * 8 + 1))
+    rho = brute_force_cmsv(op, tau_rho, "min", seed=derive_seed(seed, trial * 8 + 2))
+    nu_lo = estimate_rcsv(op, r4, "min", starts=8, seed=derive_seed(seed, trial * 8 + 3))
+    nu_hi = estimate_rcsv(op, r4, "max", starts=8, seed=derive_seed(seed, trial * 8 + 4))
+    delta_hat = mric_upper_bound(nu_lo.value, nu_hi.value)
     rows = []
-    for trial in range(trials):
-        spec = _ensemble_spec(config, derive_seed(seed, trial * 8))
-        op = draw_operator(spec)
-        x = draw_low_rank_signal(e["n1"], e["n2"], r, sig.get("scale", 1.0), derive_seed(seed, trial * 8 + 1))
-        rho = brute_force_cmsv(op, tau_rho, "min", samples=100_000, seed=derive_seed(seed, trial * 8 + 2))
-        nu_lo = estimate_rcsv(op, r4, "min", starts=8, seed=derive_seed(seed, trial * 8 + 3))
-        nu_hi = estimate_rcsv(op, r4, "max", starts=8, seed=derive_seed(seed, trial * 8 + 4))
-        delta_hat = mric_upper_bound(nu_lo.value, nu_hi.value)
-        for eps in eps_grid:
-            scn = make_scenario(
-                op, x, noise_kind="bounded" if eps > 0 else "none", epsilon=eps,
-                seed=derive_seed(seed, trial * 8 + 5),
-            )
-            res = solve_mbp(scn, eps, cfg)
-            realized = frobenius_norm(np.asarray(res.x_hat) - x)
-            try:
-                cmsv_bound = bound_mbp(eps, rho.value)
-                # (2 eps + 10 abs_tol) / rho: the bound at the feasibility
-                # level solve_mbp certifies, ||y - A(x_hat)|| <= eps + 10 abs_tol
-                cmsv_holds = realized <= cmsv_bound + 10 * cfg.abs_tol / rho.value
-            except BoundInapplicable:
-                cmsv_bound, cmsv_holds = "", ""
-            try:
-                mb = bound_mbp_mric(eps, delta_hat)
-                mric_bound, applicable = mb, True
-            except BoundInapplicable:
-                mric_bound, applicable = "inapplicable", False
-            rows.append(
-                {
-                    "epsilon": eps,
-                    "trial": trial,
-                    "realized_error": realized,
-                    "cmsv_bound": cmsv_bound,
-                    "cmsv_holds": cmsv_holds,
-                    "mric_bound": mric_bound,
-                    "mric_applicable": applicable,
-                    "rho_hat": rho.value,
-                    "delta_hat": delta_hat,
-                }
-            )
-    meta = _meta(config)
-    if "csv" in formats:
-        _write_csv(out / "bounds.csv", LEDGER_COLUMNS, [[row[c] for c in LEDGER_COLUMNS] for row in rows], meta)
-    summary = {**meta, "kind": "bounds", "trials": trials, "epsilon_grid": list(eps_grid), "rows": rows}
-    if "json" in formats:
-        _write_json(out / "bounds.json", summary)
-    return summary
+    for eps in config.get("epsilon_grid", EPSILON_GRID):
+        scn = make_scenario(
+            op, x, noise_kind="bounded" if eps > 0 else "none", epsilon=eps,
+            seed=derive_seed(seed, trial * 8 + 5),
+        )
+        res = solve_mbp(scn, eps, cfg)
+        realized = frobenius_norm(np.asarray(res.x_hat) - x)
+        try:
+            cmsv_bound = bound_mbp(eps, rho.value)
+            # (2 eps + 10 abs_tol) / rho: the bound at the feasibility
+            # level solve_mbp certifies, ||y - A(x_hat)|| <= eps + 10 abs_tol
+            cmsv_holds = realized <= cmsv_bound + 10 * cfg.abs_tol / rho.value
+        except BoundInapplicable:
+            cmsv_bound, cmsv_holds = "", ""
+        try:
+            mric_bound, applicable = bound_mbp_mric(eps, delta_hat), True
+        except BoundInapplicable:
+            mric_bound, applicable = "inapplicable", False
+        rows.append(
+            {
+                "epsilon": eps,
+                "trial": trial,
+                "realized_error": realized,
+                "cmsv_bound": cmsv_bound,
+                "cmsv_holds": cmsv_holds,
+                "mric_bound": mric_bound,
+                "mric_applicable": applicable,
+                "rho_hat": rho.value,
+                "delta_hat": delta_hat,
+            }
+        )
+    return rows
+
+
+def _bounds_summary(config, rows):
+    grid = config.get("epsilon_grid", EPSILON_GRID)
+    return {"kind": "bounds", "trials": config["trials"], "epsilon_grid": list(grid), "rows": rows}
+
+
+def run_bounds_ledger(config, out_dir, jobs=1, formats=("csv", "json")):
+    """Realized mBP error versus both bound families on an oracle-sized
+    instance, over a grid of bounded-noise levels; one trial per operator.
+    """
+    e = config["ensemble"]
+    if e["n1"] * e["n2"] > 9:
+        raise ValueError("bounds ledger requires an oracle-sized instance (n1*n2 <= 9)")
+    return _run(config, out_dir, jobs, formats, "bounds", LEDGER_COLUMNS, _bounds_trial, _bounds_summary)
 
 
 # --- noise calibration -----------------------------------------------------
@@ -398,36 +401,40 @@ def run_bounds_ledger(config, out_dir, jobs=1, formats=("csv", "json")):
 NOISECAL_COLUMNS = ("quantile", "value")
 
 
-def run_noise_calibration(config, out_dir, jobs=1, formats=("csv", "json")):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _noise_cal_trial(config):
+    """The one trial: one operator, one noise_operator_bound call.  Each
+    quantile row also carries the record's threshold and exceedance, which
+    the summary reports."""
     seed = config["seed"]
-    e = config["ensemble"]
-    noise = config.get("noise", {})
-    sigma = noise.get("sigma", 1.0)
-    c = config.get("c", 8.0)
     spec = _ensemble_spec(config, derive_seed(seed, 0))
-    op = draw_operator(spec)
-    record = noise_operator_bound(op, sigma, e["n2"], config["trials"], derive_seed(seed, 1), c=c)
-    qrows = [[q, v] for q, v in sorted(record["quantiles"].items())]
-    meta = _meta(config)
-    if "csv" in formats:
-        _write_csv(out / "noise_cal.csv", NOISECAL_COLUMNS, qrows, meta)
-    lam_pick = record["quantiles"]["0.95"]
-    summary = {
-        **meta,
+    sigma = config.get("noise", {}).get("sigma", 1.0)
+    record = noise_operator_bound(
+        draw_operator(spec), sigma, spec.n2, config["trials"], derive_seed(seed, 1), c=config.get("c", 8.0)
+    )
+    extra = {"threshold": record["threshold"], "exceed_fraction": record["exceed_fraction"]}
+    return [{"quantile": q, "value": v, **extra} for q, v in sorted(record["quantiles"].items())]
+
+
+def _noise_cal_summary(config, rows):
+    quantiles = {row["quantile"]: row["value"] for row in rows}
+    lam_pick = quantiles["0.95"]
+    return {
         "kind": "noise-calibration",
-        "sigma": sigma,
-        "c": c,
-        "threshold": record["threshold"],
-        "exceed_fraction": record["exceed_fraction"],
-        "quantiles": record["quantiles"],
+        "sigma": config.get("noise", {}).get("sigma", 1.0),
+        "c": config.get("c", 8.0),
+        "threshold": rows[0]["threshold"],
+        "exceed_fraction": rows[0]["exceed_fraction"],
+        "quantiles": quantiles,
         "suggested_lambda": lam_pick,
         "suggested_mu": 2.0 * lam_pick,
     }
-    if "json" in formats:
-        _write_json(out / "noise_cal.json", summary)
-    return summary
+
+
+def run_noise_calibration(config, out_dir, jobs=1, formats=("csv", "json")):
+    return _run(
+        config, out_dir, jobs, formats, "noise_cal", NOISECAL_COLUMNS, _noise_cal_trial, _noise_cal_summary,
+        args=[config],
+    )
 
 
 RUNNERS = {

@@ -6,7 +6,7 @@ the trace inner product <A_k, X>.  The adjoint maps z to sum_k z_k A_k.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,8 +107,9 @@ def gram_apply(op, x):
 
 
 def as_matrix(op):
-    """Explicit m x (n1*n2) matrix acting on row-major vectorized input."""
-    return op.flat.copy()
+    """Explicit m x (n1*n2) matrix acting on row-major vectorized input: the
+    read-only view ``op.flat``, not a copy."""
+    return op.flat
 
 
 def make_scenario(op, x_true, noise_kind="none", epsilon=0.0, sigma=0.0, seed=0, w=None):

@@ -275,50 +275,53 @@ def test_criterion_11_sandwich_and_mric():
     _report(11, "sandwich-and-mric", ok, "10 oracle-sized instances, 2% tolerance")
 
 
+# one small config per CLI subcommand, also used by tests/test_cli.py
+CLI_CONFIGS = {
+    "recover": {
+        "kind": "recover",
+        "ensemble": {"kind": "gaussian", "n1": 4, "n2": 4, "m": 14, "normalize": True},
+        "signal": {"r": 1},
+        "noise": {"kind": "bounded", "epsilon": 0.05},
+        "algorithm": {"name": "mbp", "epsilon": 0.05},
+        "trials": 2,
+        "seed": 7,
+    },
+    "cmsv": {
+        "kind": "cmsv",
+        "ensemble": {"kind": "gaussian", "n1": 3, "n2": 3, "m": 10, "normalize": True},
+        "estimation": {"tau": 2.0, "starts": 4},
+        "trials": 2,
+        "seed": 3,
+    },
+    "montecarlo": {
+        "kind": "montecarlo",
+        "ensemble": {"kind": "gaussian", "n1": 4, "n2": 4, "m": 32},
+        "estimation": {"tau": 2.0, "starts": 2, "m_sweep": [16, 32]},
+        "trials": 2,
+        "seed": 5,
+    },
+    "bounds": {
+        "kind": "bounds",
+        "ensemble": {"kind": "gaussian", "n1": 2, "n2": 2, "m": 8, "normalize": True},
+        "signal": {"r": 1},
+        "epsilon_grid": [0.0, 0.1],
+        "trials": 1,
+        "seed": 2,
+    },
+    "noise-cal": {
+        "kind": "noise-calibration",
+        "ensemble": {"kind": "gaussian", "n1": 3, "n2": 4, "m": 12, "normalize": True},
+        "noise": {"kind": "gaussian", "sigma": 0.5},
+        "trials": 30,
+        "seed": 4,
+    },
+}
+
+
 def test_criterion_12_cli_reproducibility(tmp_path):
-    configs = {
-        "recover": {
-            "kind": "recover",
-            "ensemble": {"kind": "gaussian", "n1": 4, "n2": 4, "m": 14, "normalize": True},
-            "signal": {"r": 1},
-            "noise": {"kind": "bounded", "epsilon": 0.05},
-            "algorithm": {"name": "mbp", "epsilon": 0.05},
-            "trials": 2,
-            "seed": 7,
-        },
-        "cmsv": {
-            "kind": "cmsv",
-            "ensemble": {"kind": "gaussian", "n1": 3, "n2": 3, "m": 10, "normalize": True},
-            "estimation": {"tau": 2.0, "starts": 4},
-            "trials": 2,
-            "seed": 3,
-        },
-        "montecarlo": {
-            "kind": "montecarlo",
-            "ensemble": {"kind": "gaussian", "n1": 4, "n2": 4, "m": 32},
-            "estimation": {"tau": 2.0, "starts": 2, "m_sweep": [16, 32]},
-            "trials": 2,
-            "seed": 5,
-        },
-        "bounds": {
-            "kind": "bounds",
-            "ensemble": {"kind": "gaussian", "n1": 2, "n2": 2, "m": 8, "normalize": True},
-            "signal": {"r": 1},
-            "epsilon_grid": [0.0, 0.1],
-            "trials": 1,
-            "seed": 2,
-        },
-        "noise-cal": {
-            "kind": "noise-calibration",
-            "ensemble": {"kind": "gaussian", "n1": 3, "n2": 4, "m": 12, "normalize": True},
-            "noise": {"kind": "gaussian", "sigma": 0.5},
-            "trials": 30,
-            "seed": 4,
-        },
-    }
     ok = True
     details = []
-    for sub, doc in configs.items():
+    for sub, doc in CLI_CONFIGS.items():
         cfg_path = tmp_path / f"{sub}.json"
         cfg_path.write_text(json.dumps(doc))
         out_a = tmp_path / f"{sub}_a"

@@ -4,10 +4,14 @@ No timing is asserted; the run must finish, pass its own output checks and
 report no failed CLI invocation.
 """
 
+import importlib
+import importlib.util
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import MagicMock
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,3 +24,40 @@ def test_oracle_workload_runs_clean():
     assert report["correct"] is True
     assert report["failed"] == 0
     assert report["attempted"] > 0
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", REPO_ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+class _Arguments(dict):
+    """Bound arguments that record which names a capture reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def __missing__(self, key):
+        self.read.add(key)
+        return MagicMock()
+
+
+def test_tracer_names_resolve():
+    # renaming a timed function or a captured parameter breaks the traced
+    # reference round of every workload; this finds it without running one
+    tracer = _load_tracer()
+    for mod_name, fns in tracer.TIMED.items():
+        module = importlib.import_module("nucrec." + mod_name)
+        for fn_name in fns:
+            assert callable(getattr(module, fn_name, None)), f"nucrec.{mod_name}.{fn_name}"
+    for span, capture in tracer._CAPTURES.items():
+        mod_name, fn_name = span.split(".")
+        fn = getattr(importlib.import_module("nucrec." + mod_name), fn_name)
+        args = _Arguments()
+        capture(MagicMock(), args, MagicMock())
+        params = inspect.signature(fn).parameters
+        missing = args.read - set(params)
+        assert not missing, f"{span} has no parameter {sorted(missing)}"

@@ -5,7 +5,6 @@ import pytest
 
 from nucrec.bounds import (
     BoundInapplicable,
-    BoundReport,
     bound_mbp,
     bound_mds,
     bound_mlasso,
@@ -15,7 +14,7 @@ from nucrec.bounds import (
     noise_operator_bound,
     verify_bound,
 )
-from nucrec.cmsv import estimate_cmsv
+from nucrec.cmsv import estimate_cmsv, estimate_rcsv
 from nucrec.ensembles import EnsembleSpec, draw_operator, draw_low_rank_signal
 from nucrec.operators import make_scenario
 from nucrec.solvers import solve_mbp
@@ -129,20 +128,11 @@ class TestVerifyBound:
         with pytest.raises(ValueError):
             verify_bound(self.scn, res, "omp", {"epsilon": 0.05}, self.rho(2.0))
 
-    def test_csv_row_matches_columns(self):
+    def test_rank_constrained_estimate_raises(self):
         res = solve_mbp(self.scn, 0.05)
-        rep = verify_bound(self.scn, res, "mbp", {"epsilon": 0.05}, self.rho(2.0))
-        row = rep.to_csv_row()
-        assert len(row.split(",")) == len(BoundReport.CSV_COLUMNS)
-
-    def test_json_round_trip(self):
-        import json
-
-        res = solve_mbp(self.scn, 0.05)
-        rep = verify_bound(self.scn, res, "mbp", {"epsilon": 0.05}, self.rho(2.0))
-        data = json.loads(rep.to_json())
-        assert data["algorithm"] == "mbp"
-        assert data["bound_value"] == rep.bound_value
+        nu = estimate_rcsv(self.op, 1, "min", starts=2, seed=0)
+        with pytest.raises(ValueError):
+            verify_bound(self.scn, res, "mbp", {"epsilon": 0.05}, nu)
 
 
 class TestNoiseOperatorBound:

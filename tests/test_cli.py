@@ -7,6 +7,7 @@ import pytest
 from nucrec.cli import EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGED, EXIT_OK, main
 from nucrec.config_schema import SCHEMA
 from nucrec.experiments import config_hash
+from test_acceptance import CLI_CONFIGS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -303,9 +304,14 @@ class TestRunners:
         assert data["suggested_mu"] == pytest.approx(2 * data["suggested_lambda"])
         assert data["exceed_fraction"] <= 0.05
 
-    def test_jobs_matches_serial(self, tmp_path):
-        cfg = write_config(tmp_path, cmsv_config(trials=3))
+    @pytest.mark.parametrize("sub", ["recover", "cmsv", "montecarlo", "bounds"])
+    def test_jobs_matches_serial(self, tmp_path, sub):
+        # three trials, so every runner maps them over the pool of two
+        cfg = write_config(tmp_path, CLI_CONFIGS[sub])
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["cmsv", "--config", cfg, "--out", str(out_a)])
-        main(["cmsv", "--config", cfg, "--out", str(out_b), "--jobs", "2"])
-        assert (out_a / "cmsv.csv").read_bytes() == (out_b / "cmsv.csv").read_bytes()
+        assert main([sub, "--config", cfg, "--out", str(out_a), "--trials", "3"]) == EXIT_OK
+        assert main([sub, "--config", cfg, "--out", str(out_b), "--trials", "3", "--jobs", "2"]) == EXIT_OK
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == sorted(p.name for p in out_b.iterdir()) and len(names) == 2
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name

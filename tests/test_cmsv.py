@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nucrec.cmsv import (
-    CmsvEstimate,
+    Estimate,
     _project_singular_values,
     estimate_cmsv,
     brute_force_cmsv,
@@ -316,10 +316,39 @@ class TestMricUpperBound:
 class TestEstimateValidation:
     def test_bad_witness_norm(self):
         with pytest.raises(ValueError):
-            CmsvEstimate(tau=2.0, direction="min", value=1.0,
-                         witness=np.eye(2), starts=1)
+            Estimate(tau=2.0, direction="min", value=1.0,
+                     witness=np.eye(2), starts=1)
 
     def test_bad_witness_constraint(self):
         with pytest.raises(ValueError):
-            CmsvEstimate(tau=1.0, direction="min", value=1.0,
-                         witness=np.eye(2) / np.sqrt(2), starts=1)
+            Estimate(tau=1.0, direction="min", value=1.0,
+                     witness=np.eye(2) / np.sqrt(2), starts=1)
+
+    def test_bad_witness_rank(self):
+        with pytest.raises(ValueError):
+            Estimate(r=1, direction="min", value=1.0,
+                     witness=np.eye(2) / np.sqrt(2), starts=1)
+        est = Estimate(r=2, direction="min", value=1.0, witness=np.eye(2) / np.sqrt(2), starts=1)
+        assert est.tau is None
+
+    @pytest.mark.parametrize("constraint", [{}, {"tau": 2.0, "r": 2}])
+    def test_exactly_one_constraint(self, constraint):
+        with pytest.raises(ValueError):
+            Estimate(direction="min", value=1.0, witness=np.eye(2) / np.sqrt(2), starts=1, **constraint)
+
+    def test_evidence_derived_from_direction(self):
+        w = np.eye(2) / np.sqrt(2)
+        est = Estimate(tau=2.0, direction="max", value=1.0, witness=w, starts=1)
+        assert est.evidence == "lower_bound_on_max"
+        with pytest.raises(TypeError):
+            Estimate(tau=2.0, direction="max", value=1.0, witness=w, starts=1, evidence="upper_bound_on_min")
+
+    def test_estimators_share_the_type(self):
+        op = tiny_op(seed=19, n1=3, n2=3, m=12)
+        rho = estimate_cmsv(op, 2.0, "min", starts=2, seed=0)
+        nu = estimate_rcsv(op, 1, "max", starts=2, seed=0)
+        exact = brute_force_cmsv(op, 3.0, "min")
+        assert all(type(e) is Estimate for e in (rho, nu, exact))
+        assert (rho.tau, rho.r) == (2.0, None)
+        assert (nu.tau, nu.r) == (None, 1)
+        assert nu.evidence == "lower_bound_on_max"

@@ -148,6 +148,13 @@ class TestScaleAndGram:
         x = rng.standard_normal((2, 3))
         assert np.allclose(as_matrix(op) @ x.reshape(-1), apply_op(op, x))
 
+    def test_as_matrix_is_the_read_only_view(self):
+        op = random_op(np.random.default_rng(17), 2, 3, 4)
+        mat = as_matrix(op)
+        assert mat.shape == (4, 6)
+        assert np.shares_memory(mat, op.matrices)
+        assert not mat.flags.writeable
+
 
 class TestScenario:
     def test_noiseless(self):
