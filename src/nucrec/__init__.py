@@ -19,7 +19,6 @@ from nucrec.linalg import (
     lstar_rank,
     prox_nuclear,
     decompose_error,
-    nuclear_additivity_check,
 )
 from nucrec.operators import (
     MeasurementOperator,

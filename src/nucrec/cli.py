@@ -81,6 +81,15 @@ def main(argv=None):
         config["seed"] = args.seed
     if args.trials is not None:
         config["trials"] = args.trials
+    try:
+        # load_config has checked SCHEMA itself; this checks the overrides
+        jsonschema.validators.validator_for(SCHEMA)(SCHEMA).validate(config)
+    except jsonschema.ValidationError as exc:
+        print(f"error: invalid override: {exc.message}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG
     out_dir = args.out or config.get("output_path", ".")
 
     formats = (args.format,) if args.format else ("csv", "json")

@@ -36,31 +36,27 @@ def _as_matrix(x):
     return x
 
 
-def svd(x):
-    """Thin SVD of ``x`` as :class:`SvdFactors`.
-
-    Raises :class:`NumericalError` if the factorization does not converge
-    (never returns silent NaNs).
-    """
+def _checked_svd(x, compute_uv=True):
+    """Thin ``np.linalg.svd`` of a finite matrix; raises :class:`NumericalError`
+    if the factorization does not converge (never returns silent NaNs)."""
     x = _as_matrix(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("matrix has non-finite entries")
     try:
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        return np.linalg.svd(x, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
+
+
+def svd(x):
+    """Thin SVD of ``x`` as :class:`SvdFactors`."""
+    u, s, vt = _checked_svd(x)
     return SvdFactors(u=u, sigma=s, v=vt.T)
 
 
 def singular_values(x):
     """Singular values of ``x``, nonincreasing."""
-    x = _as_matrix(x)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("matrix has non-finite entries")
-    try:
-        return np.linalg.svd(x, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    return _checked_svd(x, compute_uv=False)
 
 
 def nuclear_norm(x):
@@ -114,9 +110,8 @@ def prox_nuclear(x, threshold):
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    f = svd(x)
-    s = np.maximum(f.sigma - threshold, 0.0)
-    return (f.u * s) @ f.v.T
+    u, s, vt = _checked_svd(x)
+    return (u * np.maximum(s - threshold, 0.0)) @ vt
 
 
 def decompose_error(h, x, tol=1e-9):
@@ -144,19 +139,3 @@ def decompose_error(h, x, tol=1e-9):
     hc = hc - (hc @ v) @ v.T
     h0 = h - hc
     return h0, hc
-
-
-def nuclear_additivity_check(a, b, rtol=1e-8):
-    """True iff ``a b^T ~ 0`` and ``a^T b ~ 0`` (relative tolerance).
-
-    When true, ``||a + b||_* = ||a||_* + ||b||_*``.
-    """
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    scale = max(1.0, float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
-    return (
-        float(np.linalg.norm(a @ b.T)) <= rtol * scale
-        and float(np.linalg.norm(a.T @ b)) <= rtol * scale
-    )

@@ -12,9 +12,18 @@ as the Z-update, a Euclidean-ball or operator-norm-ball projection as the
 auxiliary update); the penalized program uses FISTA with adaptive restart.
 Non-convergence is flagged on the result, never raised, so Monte Carlo
 drivers can count failures.
+
+``SolverConfig.admm_rho`` is the ADMM penalty.  mDS keeps it fixed.  mBP
+starts from it and balances the residuals (Boyd et al. 2011, section 3.4.1):
+while fewer than 200 iterations have run and epsilon > 0, the penalty
+doubles when the primal residual exceeds 10 times the dual residual and
+halves in the opposite case, and the scaled dual variable is rescaled to
+match.  The gradient step 1/(1.01 lambda_max) does not depend on the
+penalty; the soft-threshold 1/(1.01 rho lambda_max) does.  At epsilon = 0
+the dual residual is identically 0, so the penalty stays fixed there.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +54,6 @@ class RecoveryResult:
     objective: float
     feasible: bool
     converged: bool
-    history: list = field(default_factory=list)
 
 
 def power_iteration_gram_norm(op, tol=1e-10, max_iters=1000):
@@ -81,17 +89,23 @@ def _project_ball(p, center, radius):
     return center + d * (radius / nrm)
 
 
-def _project_opnorm_ball(w, radius):
-    f = svd(w)
-    s = np.minimum(f.sigma, radius)
-    return (f.u * s) @ f.v.T
+def _project_opnorm_ball(w, radius, shape):
+    """Clip the singular values of the vectorized ``shape`` matrix ``w``."""
+    f = svd(w.reshape(shape))
+    return ((f.u * np.minimum(f.sigma, radius)) @ f.v.T).reshape(-1)
+
+
+# mBP residual balancing, as described in the module docstring
+BALANCE_RATIO = 10.0
+BALANCE_ITERS = 200
 
 
 def solve_mbp(scenario, epsilon, cfg=None):
-    """Matrix Basis Pursuit via linearized ADMM.
+    """Matrix Basis Pursuit via linearized ADMM with residual balancing.
 
     The splitting introduces v = A(Z) constrained to the epsilon-ball around
-    y (the single point {y} when epsilon = 0).
+    y (the single point {y} when epsilon = 0).  The loop runs on vectorized
+    Z through ``op.flat`` and reuses A(Z) from the previous iteration.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -105,40 +119,46 @@ def solve_mbp(scenario, epsilon, cfg=None):
         x_hat = np.zeros(op.shape)
         feas = np.linalg.norm(y) <= epsilon + cfg.abs_tol
         return RecoveryResult(x_hat, 0, float(np.linalg.norm(y)), 0.0, 0.0, feas, feas)
-    t = 1.0 / (rho * lam_gram * 1.01)
+    a = op.flat
+    step = 1.0 / (lam_gram * 1.01)
+    # at epsilon = 0, v == y and the dual residual is 0: never balance there
+    balance_iters = BALANCE_ITERS if epsilon > 0 else 0
 
-    z = np.zeros(op.shape)
-    v = _project_ball(np.zeros(op.m), y, epsilon)
+    z = np.zeros(a.shape[1])
+    az = np.zeros(op.m)
+    v = _project_ball(az, y, epsilon)
     u = np.zeros(op.m)
-    history = []
     converged = False
     it = 0
     pri = dual = np.inf
     for it in range(1, cfg.max_iters + 1):
-        az = apply_op(op, z)
-        z = prox_nuclear(z - t * rho * adjoint(op, az - v + u), t)
-        az = apply_op(op, z)
+        z = prox_nuclear((z - step * ((az - v + u) @ a)).reshape(op.shape), step / rho).reshape(-1)
+        az = a @ z
         v_old = v
         v = _project_ball(az + u, y, epsilon)
         u = u + az - v
         pri = float(np.linalg.norm(az - v))
-        dual = float(rho * np.linalg.norm(adjoint(op, v - v_old)))
-        if it % 100 == 0 or it == 1:
-            history.append((it, nuclear_norm(z), pri))
+        dual = float(rho * np.linalg.norm((v - v_old) @ a))
         if pri <= cfg.abs_tol and dual <= cfg.abs_tol:
             converged = True
             break
-    obj = nuclear_norm(z)
-    history.append((it, obj, pri))
-    feasible = float(np.linalg.norm(y - apply_op(op, z))) <= epsilon + 10 * cfg.abs_tol
-    return RecoveryResult(z, it, pri, dual, obj, feasible, converged, history)
+        if it < balance_iters:
+            if pri > BALANCE_RATIO * dual:
+                rho, u = 2.0 * rho, u / 2.0
+            elif dual > BALANCE_RATIO * pri:
+                rho, u = rho / 2.0, 2.0 * u
+    x_hat = z.reshape(op.shape)
+    feasible = float(np.linalg.norm(y - az)) <= epsilon + 10 * cfg.abs_tol
+    return RecoveryResult(x_hat, it, pri, dual, nuclear_norm(x_hat), feasible, converged)
 
 
 def solve_mds(scenario, lam, cfg=None):
-    """Matrix Dantzig Selector via linearized ADMM.
+    """Matrix Dantzig Selector via linearized ADMM at the fixed penalty.
 
     Auxiliary matrix variable W = A*(y) - A*(A(Z)) is kept inside the
-    operator-norm ball of radius lam by singular value clipping.
+    operator-norm ball of radius lam by singular value clipping.  The loop
+    runs on vectorized matrices through ``op.flat`` and reuses G(Z) =
+    A*(A(Z)) from the previous iteration.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -152,37 +172,35 @@ def solve_mds(scenario, lam, cfg=None):
         return RecoveryResult(x_hat, 0, 0.0, 0.0, 0.0, True, True)
     # linear map G = A* A; Lipschitz constant of G o G is lam_gram^2
     t = 1.0 / (rho * lam_gram**2 * 1.01)
-    c = adjoint(op, y)
+    step = t * rho
+    a = op.flat
+    c = y @ a
 
     def g(x):
-        return gram_apply(op, x)
+        return (a @ x) @ a
 
-    z = np.zeros(op.shape)
-    w = _project_opnorm_ball(c, lam)
-    u = np.zeros(op.shape)
-    history = []
+    z = np.zeros(a.shape[1])
+    gz = np.zeros(a.shape[1])
+    w = _project_opnorm_ball(c, lam, op.shape)
+    u = np.zeros(a.shape[1])
     converged = False
     it = 0
     pri = dual = np.inf
     for it in range(1, cfg.max_iters + 1):
-        gz = g(z)
-        z = prox_nuclear(z - t * rho * g(gz + w - c + u), t)
+        z = prox_nuclear((z - step * g(gz + w - c + u)).reshape(op.shape), t).reshape(-1)
         gz = g(z)
         w_old = w
-        w = _project_opnorm_ball(c - gz - u, lam)
+        w = _project_opnorm_ball(c - gz - u, lam, op.shape)
         u = u + gz + w - c
         pri = float(np.linalg.norm(gz + w - c))
         dual = float(rho * np.linalg.norm(g(w - w_old)))
-        if it % 100 == 0 or it == 1:
-            history.append((it, nuclear_norm(z), pri))
         if pri <= cfg.abs_tol and dual <= cfg.abs_tol:
             converged = True
             break
-    obj = nuclear_norm(z)
-    history.append((it, obj, pri))
-    resid_corr = adjoint(op, y - apply_op(op, z))
+    x_hat = z.reshape(op.shape)
+    resid_corr = adjoint(op, y - apply_op(op, x_hat))
     feasible = operator_norm(resid_corr) <= lam + 10 * cfg.abs_tol
-    return RecoveryResult(z, it, pri, dual, obj, feasible, converged, history)
+    return RecoveryResult(x_hat, it, pri, dual, nuclear_norm(x_hat), feasible, converged)
 
 
 def solve_mlasso(scenario, mu, cfg=None):
@@ -210,7 +228,6 @@ def solve_mlasso(scenario, mu, cfg=None):
     x_prev = z.copy()
     theta = 1.0
     f_prev = objective(z)
-    history = [(0, f_prev, np.inf)]
     converged = False
     restarted = False
     it = 0
@@ -234,12 +251,9 @@ def solve_mlasso(scenario, mu, cfg=None):
         theta = theta_new
         change = float(np.linalg.norm(x - x_prev))
         x_prev = x
-        if it % 100 == 0 or it == 1:
-            history.append((it, f_x, change))
         if abs(f_prev - f_x) <= 1e-13 * max(1.0, abs(f_x)) and change <= cfg.abs_tol * max(
             1.0, float(np.linalg.norm(x))
         ):
-            f_prev = f_x
             converged = True
             break
         f_prev = f_x
@@ -251,6 +265,4 @@ def solve_mlasso(scenario, mu, cfg=None):
     stationary = top <= mu * (1 + cfg.rel_tol) + cfg.abs_tol and align >= mu * nn * (
         1 - cfg.rel_tol
     ) - cfg.abs_tol
-    obj = objective(x_hat)
-    history.append((it, obj, 0.0))
-    return RecoveryResult(x_hat, it, 0.0, 0.0, obj, stationary, converged, history)
+    return RecoveryResult(x_hat, it, 0.0, 0.0, objective(x_hat), stationary, converged)

@@ -105,6 +105,21 @@ class TestExitCodes:
         blocker.write_text("")
         assert main(["cmsv", "--config", cfg, "--out", str(blocker)]) == EXIT_IO
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--seed", "-1")])
+    def test_override_revalidated(self, tmp_path, flag, value):
+        # --trials 0 used to write "mean_rho_min": NaN, which is not JSON
+        cfg = write_config(tmp_path, cmsv_config())
+        out = tmp_path / "out"
+        assert main(["cmsv", "--config", cfg, "--out", str(out), flag, value]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        cfg = write_config(tmp_path, cmsv_config())
+        out = tmp_path / "out"
+        assert main(["cmsv", "--config", cfg, "--out", str(out), "--jobs", jobs]) == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestOutputs:
     def test_csv_meta_line(self, tmp_path):

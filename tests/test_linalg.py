@@ -11,7 +11,6 @@ from nucrec.linalg import (
     lstar_rank,
     prox_nuclear,
     decompose_error,
-    nuclear_additivity_check,
 )
 from oracles import jacobi_singular_values, prox_nuclear_grid_2x2
 
@@ -223,19 +222,16 @@ class TestNuclearAdditivity:
     def test_orthogonal_supports(self):
         a = np.diag([1.0, 0.0])
         b = np.diag([0.0, 1.0])
-        assert nuclear_additivity_check(a, b)
         assert nuclear_norm(a + b) == pytest.approx(nuclear_norm(a) + nuclear_norm(b))
-
-    def test_same_matrix_fails(self):
-        a = np.diag([1.0, 2.0])
-        assert not nuclear_additivity_check(a, a)
 
     def test_decomposition_pieces(self):
         rng = np.random.default_rng(37)
         x = random_matrix(rng, 6, 6, rank=2)
         h = rng.standard_normal((6, 6))
         _, hc = decompose_error(h, x)
-        assert nuclear_additivity_check(x, hc)
+        scale = np.linalg.norm(x) * np.linalg.norm(hc)
+        assert np.linalg.norm(x @ hc.T) <= 1e-8 * scale
+        assert np.linalg.norm(x.T @ hc) <= 1e-8 * scale
         assert nuclear_norm(x + hc) == pytest.approx(
             nuclear_norm(x) + nuclear_norm(hc), rel=1e-8
         )

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nucrec.ensembles import EnsembleSpec, draw_operator, draw_low_rank_signal
-from nucrec.linalg import nuclear_norm, operator_norm, prox_nuclear
+from nucrec.ensembles import EnsembleSpec, derive_seed, draw_operator, draw_low_rank_signal
+from nucrec.linalg import nuclear_norm, operator_norm, prox_nuclear, svd
 from nucrec.operators import MeasurementOperator, apply_op, adjoint, make_scenario
 from nucrec.solvers import (
     SolverConfig,
@@ -60,10 +60,10 @@ class TestMbp:
         scn = make_scenario(op, np.zeros((3, 3)))
         scn = type(scn)(operator=op, x_true=scn.x_true, noise=scn.noise,
                         y=y_mat.reshape(-1))
-        eps = 0.4
-        res = solve_mbp(scn, eps)
-        oracle = mbp_orthonormal_oracle(y_mat, eps)
-        assert np.linalg.norm(res.x_hat - oracle) <= 5e-4
+        for eps in (0.1, 0.4, 1.0):
+            res = solve_mbp(scn, eps)
+            oracle = mbp_orthonormal_oracle(y_mat, eps)
+            assert np.linalg.norm(res.x_hat - oracle) <= 5e-4, eps
 
     def test_large_epsilon_gives_zero(self):
         op, x, scn = gaussian_instance(seed=12)
@@ -77,6 +77,26 @@ class TestMbp:
         assert res.feasible
         assert res.objective <= nuclear_norm(x) + 1e-6
 
+    def test_balanced_penalty_converges_fast(self):
+        # trial 0 of the benchmark's recovery workload at seed 100; the
+        # fixed penalty admm_rho = 1 needs 1784 iterations here
+        spec = EnsembleSpec("gaussian", 12, 12, 160, seed=derive_seed(100, 0), normalize=True)
+        x = draw_low_rank_signal(12, 12, 2, 1.0, derive_seed(100, 1))
+        scn = make_scenario(draw_operator(spec), x, "bounded", epsilon=0.05, seed=derive_seed(100, 2))
+        res = solve_mbp(scn, 0.05)
+        assert res.converged and res.feasible
+        assert res.iterations < 1000
+
+    def test_noiseless_keeps_fixed_penalty(self):
+        # at eps = 0 the dual residual is identically 0; balancing on it
+        # would double the penalty on each of the first 200 iterations and
+        # take 15 649 iterations to converge
+        op = draw_operator(EnsembleSpec("gaussian", 12, 12, 160, seed=0, normalize=True))
+        x = draw_low_rank_signal(12, 12, 2, 1.0, 1000)
+        res = solve_mbp(make_scenario(op, x), 0.0)
+        assert res.converged and res.feasible
+        assert res.iterations <= 150
+
     def test_negative_epsilon(self):
         _, _, scn = gaussian_instance(seed=14)
         with pytest.raises(ValueError):
@@ -88,6 +108,14 @@ class TestMbp:
         b = solve_mbp(scn, 0.1)
         assert np.array_equal(a.x_hat, b.x_hat)
         assert a.iterations == b.iterations
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 6), (6, 4)])
+def test_prox_nuclear_matches_svd_soft_threshold(shape):
+    x = np.random.default_rng(50).standard_normal(shape)
+    f = svd(x)
+    expected = (f.u * np.maximum(f.sigma - 0.7, 0.0)) @ f.v.T
+    assert np.array_equal(prox_nuclear(x, 0.7), expected)
 
 
 class TestMds:
