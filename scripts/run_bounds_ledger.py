@@ -8,7 +8,10 @@ can be brute-forced rather than estimated.
 """
 
 import argparse
+import sys
 
+from nucrec.cli import EXIT_CONFIG
+from nucrec.config_schema import ConfigError, validate
 from nucrec.experiments import run_bounds_ledger
 
 
@@ -40,6 +43,11 @@ def main():
         "trials": args.trials,
         "seed": args.seed,
     }
+    try:
+        validate(config)
+    except ConfigError as exc:
+        print(f"error: invalid config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     summary = run_bounds_ledger(config, args.out)
     header = f"{'eps':>6} {'trial':>5} {'error':>10} {'csv bound':>10} {'ric bound':>12}"
     print(header)
@@ -56,4 +64,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

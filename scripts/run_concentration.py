@@ -8,7 +8,10 @@ the per-m in-band fraction table.
 
 import argparse
 import json
+import sys
 
+from nucrec.cli import EXIT_CONFIG
+from nucrec.config_schema import ConfigError, validate
 from nucrec.experiments import run_montecarlo_cmsv
 
 
@@ -42,6 +45,11 @@ def main():
     args = parser.parse_args()
 
     config = build_config(args)
+    try:
+        validate(config)
+    except ConfigError as exc:
+        print(f"error: invalid config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     summary = run_montecarlo_cmsv(config, args.out, jobs=args.jobs)
     print(f"{'m':>6} {'in-band':>8} {'mean rho_min':>13} {'mean rho_max':>13}")
     for m in config["estimation"]["m_sweep"]:
@@ -54,4 +62,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

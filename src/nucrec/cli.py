@@ -1,8 +1,9 @@
 """Command-line driver for desk-scale recovery and concentration experiments.
 
 Subcommands: recover, cmsv, montecarlo, bounds, noise-cal.  Each takes a JSON
-config (validated against schema/experiment.schema.json) plus optional
-overrides, and writes CSV and JSON into the output directory.
+config plus optional overrides, checks both with nucrec.config_schema.validate
+(integers must be integer literals; NaN and Infinity are rejected), and writes
+CSV and JSON into the output directory.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence (partial
 results written), 4 I/O error.
@@ -12,9 +13,7 @@ import argparse
 import json
 import sys
 
-import jsonschema
-
-from nucrec.config_schema import SCHEMA
+from nucrec.config_schema import ConfigError, validate
 from nucrec.experiments import RUNNERS, SolverDidNotConverge
 
 _SUBCOMMAND_KIND = {
@@ -51,10 +50,14 @@ def build_parser():
     return parser
 
 
+def _reject_constant(name):
+    raise ConfigError(f"{name} is not valid JSON")
+
+
 def load_config(path):
     with open(path) as fh:
-        config = json.load(fh)
-    jsonschema.validate(config, SCHEMA)
+        config = json.load(fh, parse_constant=_reject_constant)
+    validate(config)
     return config
 
 
@@ -65,7 +68,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (json.JSONDecodeError, jsonschema.ValidationError) as exc:
+    except (json.JSONDecodeError, ConfigError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -82,10 +85,9 @@ def main(argv=None):
     if args.trials is not None:
         config["trials"] = args.trials
     try:
-        # load_config has checked SCHEMA itself; this checks the overrides
-        jsonschema.validators.validator_for(SCHEMA)(SCHEMA).validate(config)
-    except jsonschema.ValidationError as exc:
-        print(f"error: invalid override: {exc.message}", file=sys.stderr)
+        validate(config)
+    except ConfigError as exc:
+        print(f"error: invalid override: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)

@@ -1,8 +1,10 @@
-"""JSON schema for experiment configs.
+"""JSON schema for experiment configs, and the check that applies it.
 
 The repo ships the serialized form at schema/experiment.schema.json; a test
-keeps the two in sync.
+keeps the two in sync, and others compare :func:`validate` with jsonschema.
 """
+
+import operator
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -92,3 +94,44 @@ SCHEMA = {
         },
     },
 }
+
+# What validate() implements ("$schema" and "title" are annotations).  A bound
+# is checked after its numeric type, as the condition that must hold, so NaN fails.
+_BOUNDS = {"minimum": operator.ge, "exclusiveMinimum": operator.gt, "exclusiveMaximum": operator.lt}
+KEYWORDS = frozenset({"type", "enum", "required", "properties", "additionalProperties",
+                      "items", "minItems", *_BOUNDS})
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int, "number": (int, float)}
+
+
+class ConfigError(ValueError):
+    """A config the schema rejects; the message starts with the dotted path."""
+
+
+def validate(config, schema=SCHEMA, path=""):
+    """Raise ConfigError at the first part of ``config`` that ``schema`` rejects.
+    ``integer`` is an int and ``number`` an int or float, neither a bool, so
+    ``2.0`` is not an integer; ``additionalProperties`` may only be False."""
+    where = path or "config"
+    kind = schema.get("type")
+    if kind and (isinstance(config, bool) != (kind == "boolean") or not isinstance(config, _TYPES[kind])):
+        raise ConfigError(f"{where}: {config!r} is not of type {kind!r}")
+    if "enum" in schema and config not in schema["enum"]:
+        raise ConfigError(f"{where}: {config!r} is not one of {schema['enum']!r}")
+    for keyword, holds in _BOUNDS.items():
+        if keyword in schema and not holds(config, schema[keyword]):
+            raise ConfigError(f"{where}: {config!r} violates {keyword} {schema[keyword]!r}")
+    if isinstance(config, dict):
+        for key in schema.get("required", ()):
+            if key not in config:
+                raise ConfigError(f"{where}: {key!r} is a required property")
+        for key, value in config.items():
+            if key in schema.get("properties", {}):
+                validate(value, schema["properties"][key], f"{path}.{key}" if path else key)
+            elif schema.get("additionalProperties") is False:
+                raise ConfigError(f"{where}: unknown key {key!r}")
+    if isinstance(config, list):
+        if len(config) < schema.get("minItems", 0):
+            raise ConfigError(f"{where}: {config!r} has fewer than {schema['minItems']} items")
+        for i, item in enumerate(config):
+            validate(item, schema.get("items", {}), f"{path}[{i}]")

@@ -10,7 +10,6 @@ and the trial index, and aggregation is an ordered reduction by trial index.
 import csv
 import hashlib
 import json
-import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +83,7 @@ def _meta(config):
 
 def _map_trials(worker, args_list, jobs):
     if jobs > 1 and len(args_list) > 1:
+        import multiprocessing  # here, so that a serial run never imports it
         with multiprocessing.Pool(jobs) as pool:
             return pool.map(worker, args_list)
     return [worker(a) for a in args_list]

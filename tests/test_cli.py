@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,29 @@ class TestSchemaFile:
     def test_shipped_schema_in_sync(self):
         shipped = json.loads((REPO_ROOT / "schema" / "experiment.schema.json").read_text())
         assert shipped == SCHEMA
+
+
+def test_cli_import_leaves_out_jsonschema_and_multiprocessing():
+    code = "import sys, nucrec.cli; print([m for m in ('jsonschema', 'multiprocessing') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("run_concentration.py", ["--n", "3", "--m-sweep", "16"]),
+    ("run_bounds_ledger.py", []),
+])
+def test_script_rejects_invalid_config(tmp_path, script, argv):
+    # --trials 0 used to print a nan table and write "mean_rho_min": NaN
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    argv = [sys.executable, str(REPO_ROOT / "scripts" / script), *argv, "--trials", "0", "--out", str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_CONFIG, proc.stdout + proc.stderr
+    assert "trials: 0 violates minimum 1" in proc.stderr
+    assert not out.exists()
 
 
 class TestExitCodes:
@@ -111,6 +137,29 @@ class TestExitCodes:
         cfg = write_config(tmp_path, cmsv_config())
         out = tmp_path / "out"
         assert main(["cmsv", "--config", cfg, "--out", str(out), flag, value]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"trials": 2.0},
+        {"ensemble": {"kind": "gaussian", "n1": 3, "n2": 3, "m": 10.0, "normalize": True}},
+        {"seed": 3.0},
+    ], ids=["trials", "ensemble.m", "seed"])
+    def test_float_valued_integer_rejected(self, tmp_path, overrides):
+        # 2.0 used to pass the schema and crash the runner (exit 1), and
+        # "seed": 3.0 hashed differently from "seed": 3
+        cfg = write_config(tmp_path, cmsv_config(**overrides))
+        out = tmp_path / "out"
+        assert main(["cmsv", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_nonfinite_literal_rejected(self, tmp_path, literal):
+        # json.load accepts these non-JSON literals; NaN used to exit 0
+        text = json.dumps(cmsv_config(solver={"abs_tol": 1e-8})).replace("1e-08", literal)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["cmsv", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
