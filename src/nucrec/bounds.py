@@ -121,7 +121,7 @@ def expected_subscript(algorithm, r, kappa, n_min):
     return min(lasso_subscript(r, kappa), float(n_min))
 
 
-def verify_bound(scenario, result, algorithm, params, rho_estimate, rank_tol=1e-9):
+def verify_bound(scenario, result, algorithm, params, rho_estimate):
     """Assemble a :class:`BoundReport` for a completed solve.
 
     ``params`` carries the program parameter ('epsilon', 'lambda' or 'mu',
@@ -134,7 +134,7 @@ def verify_bound(scenario, result, algorithm, params, rho_estimate, rank_tol=1e-
     x_true = np.asarray(scenario.x_true)
     h = np.asarray(result.x_hat) - x_true
     realized = frobenius_norm(h)
-    r = max(1, numerical_rank(x_true, rank_tol))
+    r = max(1, numerical_rank(x_true))
     n_min = min(x_true.shape)
     kappa = params.get("kappa", 0.0)
     expected_tau = expected_subscript(algorithm, r, kappa, n_min)
@@ -158,7 +158,7 @@ def verify_bound(scenario, result, algorithm, params, rho_estimate, rank_tol=1e-
         bound = bound_mlasso(r, noise_param, kappa, rho)
         tau_limit = lasso_subscript(r, kappa)
 
-    h0, hc = decompose_error(h, x_true, rank_tol)
+    h0, hc = decompose_error(h, x_true)
     cone_tol = 1e-6
     if realized <= 1e-12:
         tau_h = 1.0

@@ -2,8 +2,9 @@
 
 Subcommands: recover, cmsv, montecarlo, bounds, noise-cal.  Each takes a JSON
 config plus optional overrides, checks both with nucrec.config_schema.validate
-(integers must be integer literals; NaN and Infinity are rejected), and writes
-CSV and JSON into the output directory.
+(integers must be integer literals; NaN and Infinity are rejected), checks that
+the config holds what its kind reads, and writes CSV and JSON into the output
+directory.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence (partial
 results written), 4 I/O error.
@@ -23,6 +24,10 @@ _SUBCOMMAND_KIND = {
     "bounds": "bounds",
     "noise-cal": "noise-calibration",
 }
+
+# Sections and parameters the schema leaves optional but a kind's runner reads.
+_KIND_NEEDS = {"recover": ("signal", "algorithm"), "bounds": ("signal",)}
+_ALGORITHM_NEEDS = {"mds": "lambda", "mlasso": "mu"}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,23 +66,36 @@ def load_config(path):
     return config
 
 
+def _check_runnable(config, command):
+    """Raise ConfigError for a config the schema accepts but ``command``
+    cannot run as written: another kind, a missing section or algorithm
+    parameter its runner reads, or montecarlo with ``ensemble.normalize``
+    false, which its runner would override."""
+    kind = config["kind"]
+    if kind != _SUBCOMMAND_KIND[command]:
+        raise ConfigError(f"config kind {kind!r} does not match subcommand {command!r}")
+    for key in _KIND_NEEDS.get(kind, ()):
+        if key not in config:
+            raise ConfigError(f"{key}: required for kind {kind!r}")
+    if kind == "recover":
+        name = config["algorithm"]["name"]
+        param = _ALGORITHM_NEEDS.get(name)
+        if param and param not in config["algorithm"]:
+            raise ConfigError(f"algorithm.{param}: required for algorithm {name!r}")
+    if kind == "montecarlo" and config["ensemble"].get("normalize") is False:
+        raise ConfigError("ensemble.normalize: montecarlo always normalizes the operator; false is not supported")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        _check_runnable(config, args.command)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (json.JSONDecodeError, ConfigError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    expected_kind = _SUBCOMMAND_KIND[args.command]
-    if config["kind"] != expected_kind:
-        print(
-            f"error: config kind {config['kind']!r} does not match subcommand {args.command!r}",
-            file=sys.stderr,
-        )
         return EXIT_CONFIG
 
     if args.seed is not None:
@@ -95,7 +113,7 @@ def main(argv=None):
     out_dir = args.out or config.get("output_path", ".")
 
     formats = (args.format,) if args.format else ("csv", "json")
-    runner = RUNNERS[expected_kind]
+    runner = RUNNERS[config["kind"]]
     try:
         runner(config, out_dir, jobs=args.jobs, formats=formats)
     except SolverDidNotConverge as exc:

@@ -1,7 +1,7 @@
 """JSON schema for experiment configs, and the check that applies it.
 
-The repo ships the serialized form at schema/experiment.schema.json; a test
-keeps the two in sync, and others compare :func:`validate` with jsonschema.
+``SCHEMA`` is the only copy of the schema; the tests compare :func:`validate`
+with jsonschema on it.
 """
 
 import operator

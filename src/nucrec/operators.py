@@ -5,7 +5,6 @@ An operator maps an n1 x n2 matrix X to the m-vector whose k-th component is
 the trace inner product <A_k, X>.  The adjoint maps z to sum_k z_k A_k.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,12 +111,11 @@ def as_matrix(op):
     return op.flat
 
 
-def make_scenario(op, x_true, noise_kind="none", epsilon=0.0, sigma=0.0, seed=0, w=None):
+def make_scenario(op, x_true, noise_kind="none", epsilon=0.0, sigma=0.0, seed=0):
     """Assemble a scenario with y = apply(op, x_true) + w.
 
-    For 'bounded' noise, ``w`` may be supplied directly (its norm must not
-    exceed ``epsilon``); otherwise a seeded draw on the epsilon-sphere is
-    used.  For 'gaussian', w ~ N(0, sigma^2 I) from ``seed``.
+    For 'bounded' noise, w is a seeded draw on the epsilon-sphere; for
+    'gaussian', w ~ N(0, sigma^2 I).  Both draws come from ``seed``.
     """
     x_true = _check_shape(op, x_true)
     clean = apply_op(op, x_true)
@@ -125,13 +123,10 @@ def make_scenario(op, x_true, noise_kind="none", epsilon=0.0, sigma=0.0, seed=0,
         w = np.zeros(op.m)
         noise = NoiseSpec(kind="none", realized_w=w)
     elif noise_kind == "bounded":
-        if w is None:
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-            w = rng.standard_normal(op.m)
-            nrm = np.linalg.norm(w)
-            w = w * (epsilon / nrm) if nrm > 0 else w
-        else:
-            w = np.asarray(w, dtype=float)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        w = rng.standard_normal(op.m)
+        nrm = np.linalg.norm(w)
+        w = w * (epsilon / nrm) if nrm > 0 else w
         noise = NoiseSpec(kind="bounded", realized_w=w, epsilon=float(epsilon), seed=int(seed))
     elif noise_kind == "gaussian":
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -145,68 +140,3 @@ def make_scenario(op, x_true, noise_kind="none", epsilon=0.0, sigma=0.0, seed=0,
     xt.setflags(write=False)
     return MeasurementScenario(operator=op, x_true=xt, noise=noise, y=y)
 
-
-# --- JSON round trip -------------------------------------------------------
-#
-# Self-describing document; doubles survive bit-exactly because Python's
-# float repr is shortest-round-trip.
-
-
-def operator_to_json(op):
-    n1, n2 = op.shape
-    doc = {
-        "n1": n1,
-        "n2": n2,
-        "m": op.m,
-        "matrices": [mat.reshape(-1).tolist() for mat in op.matrices],
-    }
-    return json.dumps(doc)
-
-
-def operator_from_json(text):
-    doc = json.loads(text)
-    n1, n2, m = doc["n1"], doc["n2"], doc["m"]
-    mats = np.array(doc["matrices"], dtype=float).reshape(m, n1, n2)
-    return MeasurementOperator(matrices=mats)
-
-
-def scenario_to_json(scn):
-    n1, n2 = scn.operator.shape
-    noise = {
-        "kind": scn.noise.kind,
-        "epsilon": scn.noise.epsilon,
-        "sigma": scn.noise.sigma,
-        "seed": scn.noise.seed,
-        "realized_w": scn.noise.realized_w.tolist(),
-    }
-    doc = {
-        "n1": n1,
-        "n2": n2,
-        "m": scn.operator.m,
-        "matrices": [mat.reshape(-1).tolist() for mat in scn.operator.matrices],
-        "x_true": np.asarray(scn.x_true).reshape(-1).tolist(),
-        "y": scn.y.tolist(),
-        "noise": noise,
-    }
-    return json.dumps(doc)
-
-
-def scenario_from_json(text):
-    doc = json.loads(text)
-    n1, n2, m = doc["n1"], doc["n2"], doc["m"]
-    op = MeasurementOperator(
-        matrices=np.array(doc["matrices"], dtype=float).reshape(m, n1, n2)
-    )
-    nd = doc["noise"]
-    noise = NoiseSpec(
-        kind=nd["kind"],
-        realized_w=np.array(nd["realized_w"], dtype=float),
-        epsilon=nd["epsilon"],
-        sigma=nd["sigma"],
-        seed=nd["seed"],
-    )
-    x_true = np.array(doc["x_true"], dtype=float).reshape(n1, n2)
-    y = np.array(doc["y"], dtype=float)
-    y.setflags(write=False)
-    x_true.setflags(write=False)
-    return MeasurementScenario(operator=op, x_true=x_true, noise=noise, y=y)

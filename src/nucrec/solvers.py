@@ -56,26 +56,26 @@ class RecoveryResult:
     converged: bool
 
 
-def power_iteration_gram_norm(op, tol=1e-10, max_iters=1000):
+def power_iteration_gram_norm(op):
     """Largest eigenvalue of the Gram composition adjoint(apply(.)).
 
     Equals the square of the unconstrained maximal singular value of the
     operator.  Deterministic: the start vector depends only on the shape.
+    Stops once an iterate changes the estimate by at most 1e-10 of its
+    value, or after 1000 iterations.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0x9E3779B9)))
     v = rng.standard_normal(op.shape)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(1000):
         gv = gram_apply(op, v)
         nrm = np.linalg.norm(gv)
         if nrm == 0.0:
             return 0.0
         lam_new = float(np.tensordot(v, gv, axes=([0, 1], [0, 1])))
         v = gv / nrm
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-300):
+        if abs(lam_new - lam) <= 1e-10 * max(lam_new, 1e-300):
             return lam_new
         lam = lam_new
     return lam

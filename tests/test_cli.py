@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from nucrec.cli import EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGED, EXIT_OK, main
-from nucrec.config_schema import SCHEMA
+from nucrec.config_schema import validate
 from nucrec.experiments import config_hash
 from test_acceptance import CLI_CONFIGS
 
@@ -53,10 +54,45 @@ def cmsv_config(**overrides):
     return doc
 
 
-class TestSchemaFile:
-    def test_shipped_schema_in_sync(self):
-        shipped = json.loads((REPO_ROOT / "schema" / "experiment.schema.json").read_text())
-        assert shipped == SCHEMA
+def bounds_config(**overrides):
+    doc = {
+        "kind": "bounds",
+        "ensemble": {"kind": "gaussian", "n1": 2, "n2": 2, "m": 8, "normalize": True},
+        "signal": {"r": 1},
+        "epsilon_grid": [0.0, 0.1],
+        "trials": 1,
+        "seed": 2,
+    }
+    doc.update(overrides)
+    return doc
+
+
+def montecarlo_config(**overrides):
+    doc = {
+        "kind": "montecarlo",
+        "ensemble": {"kind": "gaussian", "n1": 4, "n2": 4, "m": 64},
+        "estimation": {"tau": 2.0, "starts": 4, "m_sweep": [32, 64], "epsilon_band": 0.5},
+        "trials": 3,
+        "seed": 5,
+    }
+    doc.update(overrides)
+    return doc
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def test_readme_configs_are_valid(tmp_path):
+    blocks = re.findall(r"```json\n(.*?)```", (REPO_ROOT / "README.md").read_text(), re.S)
+    configs = {doc["kind"]: doc for doc in map(json.loads, blocks)}
+    assert set(configs) == {"montecarlo", "bounds"}
+    for doc in configs.values():
+        validate(doc)
+    cfg = write_config(tmp_path, configs["bounds"])
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", cfg, "--out", str(out), "--trials", "1"]) == EXIT_OK
+    assert len(read_csv_rows(out / "bounds.csv")) == len(configs["bounds"]["epsilon_grid"])
 
 
 def test_cli_import_leaves_out_jsonschema_and_multiprocessing():
@@ -65,21 +101,6 @@ def test_cli_import_leaves_out_jsonschema_and_multiprocessing():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize("script, argv", [
-    ("run_concentration.py", ["--n", "3", "--m-sweep", "16"]),
-    ("run_bounds_ledger.py", []),
-])
-def test_script_rejects_invalid_config(tmp_path, script, argv):
-    # --trials 0 used to print a nan table and write "mean_rho_min": NaN
-    out = tmp_path / "out"
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    argv = [sys.executable, str(REPO_ROOT / "scripts" / script), *argv, "--trials", "0", "--out", str(out)]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == EXIT_CONFIG, proc.stdout + proc.stderr
-    assert "trials: 0 violates minimum 1" in proc.stderr
-    assert not out.exists()
 
 
 class TestExitCodes:
@@ -161,6 +182,26 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["cmsv", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub, doc, key", [
+        ("recover", without(recover_config(), "signal"), "signal"),
+        ("recover", without(recover_config(), "algorithm"), "algorithm"),
+        ("recover", recover_config(algorithm={"name": "mds"}), "algorithm.lambda"),
+        ("recover", recover_config(algorithm={"name": "mlasso"}), "algorithm.mu"),
+        ("bounds", without(bounds_config(), "signal"), "signal"),
+        ("montecarlo", montecarlo_config(ensemble={"kind": "gaussian", "n1": 4, "n2": 4, "m": 64,
+                                                   "normalize": False}), "ensemble.normalize"),
+    ], ids=["recover-signal", "recover-algorithm", "mds-lambda", "mlasso-mu", "bounds-signal",
+            "montecarlo-normalize"])
+    def test_config_its_kind_cannot_run(self, tmp_path, capsys, sub, doc, key):
+        # each passes the schema; the missing keys used to crash the runner
+        # with a KeyError (exit 1) after it created the output directory, and
+        # montecarlo silently normalized anyway
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([sub, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, jobs):
@@ -248,14 +289,7 @@ class TestRunners:
             assert row["cone_satisfied"] is True
 
     def test_montecarlo_summary(self, tmp_path):
-        doc = {
-            "kind": "montecarlo",
-            "ensemble": {"kind": "gaussian", "n1": 4, "n2": 4, "m": 64},
-            "estimation": {"tau": 2.0, "starts": 4, "m_sweep": [32, 64], "epsilon_band": 0.5},
-            "trials": 3,
-            "seed": 5,
-        }
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, montecarlo_config())
         out = tmp_path / "out"
         assert main(["montecarlo", "--config", cfg, "--out", str(out)]) == EXIT_OK
         data = json.loads((out / "montecarlo.json").read_text())
@@ -264,15 +298,7 @@ class TestRunners:
             assert 0.0 <= block["fraction_in_band"] <= 1.0
 
     def test_bounds_ledger(self, tmp_path):
-        doc = {
-            "kind": "bounds",
-            "ensemble": {"kind": "gaussian", "n1": 2, "n2": 2, "m": 8, "normalize": True},
-            "signal": {"r": 1},
-            "epsilon_grid": [0.0, 0.1],
-            "trials": 1,
-            "seed": 2,
-        }
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, bounds_config())
         out = tmp_path / "out"
         assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_OK
         data = json.loads((out / "bounds.json").read_text())

@@ -11,10 +11,6 @@ from nucrec.operators import (
     gram_apply,
     as_matrix,
     make_scenario,
-    operator_to_json,
-    operator_from_json,
-    scenario_to_json,
-    scenario_from_json,
 )
 from oracles import tensordot_adjoint, tensordot_apply, vectorized_apply
 
@@ -179,24 +175,3 @@ class TestScenario:
         a = make_scenario(op, x, "gaussian", sigma=0.5, seed=9)
         b = make_scenario(op, x, "gaussian", sigma=0.5, seed=9)
         assert np.array_equal(a.y, b.y)
-
-
-class TestJsonRoundTrip:
-    def test_operator_bit_exact(self):
-        rng = np.random.default_rng(18)
-        op = random_op(rng, 3, 4, 5)
-        back = operator_from_json(operator_to_json(op))
-        assert np.array_equal(back.matrices, op.matrices)
-
-    def test_scenario_bit_exact(self):
-        rng = np.random.default_rng(19)
-        op = random_op(rng, 2, 3, 6)
-        x = rng.standard_normal((2, 3))
-        scn = make_scenario(op, x, "gaussian", sigma=0.1, seed=21)
-        back = scenario_from_json(scenario_to_json(scn))
-        assert np.array_equal(back.operator.matrices, scn.operator.matrices)
-        assert np.array_equal(back.x_true, scn.x_true)
-        assert np.array_equal(back.y, scn.y)
-        assert np.array_equal(back.noise.realized_w, scn.noise.realized_w)
-        assert back.noise.kind == "gaussian"
-        assert back.noise.sigma == 0.1
