@@ -3,8 +3,8 @@
 Subcommands: recover, cmsv, montecarlo, bounds, noise-cal.  Each takes a JSON
 config plus optional overrides, checks both with nucrec.config_schema.validate
 (integers must be integer literals; NaN and Infinity are rejected), checks that
-the config holds what its kind reads, and writes CSV and JSON into the output
-directory.
+the config holds what its kind needs and nothing its kind does not read, and
+writes CSV and JSON into the output directory.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence (partial
 results written), 4 I/O error.
@@ -15,7 +15,13 @@ import json
 import sys
 
 from nucrec.config_schema import ConfigError, validate
-from nucrec.experiments import RUNNERS, SolverDidNotConverge
+from nucrec.experiments import (
+    COMMON_SECTIONS,
+    MONTECARLO_ONLY_ESTIMATION,
+    RUNNERS,
+    SECTIONS_READ,
+    SolverDidNotConverge,
+)
 
 _SUBCOMMAND_KIND = {
     "recover": "recover",
@@ -25,7 +31,7 @@ _SUBCOMMAND_KIND = {
     "noise-cal": "noise-calibration",
 }
 
-# Sections and parameters the schema leaves optional but a kind's runner reads.
+# Sections and parameters the schema leaves optional but a kind's runner needs.
 _KIND_NEEDS = {"recover": ("signal", "algorithm"), "bounds": ("signal",)}
 _ALGORITHM_NEEDS = {"mds": "lambda", "mlasso": "mu"}
 
@@ -68,12 +74,20 @@ def load_config(path):
 
 def _check_runnable(config, command):
     """Raise ConfigError for a config the schema accepts but ``command``
-    cannot run as written: another kind, a missing section or algorithm
-    parameter its runner reads, or montecarlo with ``ensemble.normalize``
-    false, which its runner would override."""
+    cannot run as written: another kind, a section or estimation key its
+    runner never reads, a missing section or algorithm parameter its runner
+    needs, or montecarlo with ``ensemble.normalize`` false, which its runner
+    would override."""
     kind = config["kind"]
     if kind != _SUBCOMMAND_KIND[command]:
         raise ConfigError(f"config kind {kind!r} does not match subcommand {command!r}")
+    for key in config:
+        if key not in COMMON_SECTIONS and key not in SECTIONS_READ[kind]:
+            raise ConfigError(f"{key}: not read by kind {kind!r}")
+    if kind == "cmsv":
+        for key in MONTECARLO_ONLY_ESTIMATION:
+            if key in config.get("estimation", {}):
+                raise ConfigError(f"estimation.{key}: not read by kind 'cmsv'")
     for key in _KIND_NEEDS.get(kind, ()):
         if key not in config:
             raise ConfigError(f"{key}: required for kind {kind!r}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from nucrec.linalg import lstar_rank, numerical_rank
 from nucrec.operators import apply_op
-from nucrec.solvers import SolverConfig, power_iteration_gram_norm
+from nucrec.solvers import SolverConfig
 from nucrec.ensembles import derive_seed
 
 
@@ -25,7 +25,10 @@ class Estimate:
     unit-Frobenius matrices, constrained either by the nuclear-norm ratio
     ||X||_*^2 <= tau ||X||_F^2 (``tau`` set) or by rank(X) <= r (``r`` set).
     Exactly one of ``tau`` and ``r`` is given, and the witness is checked
-    against it on construction.
+    against it on construction.  An estimate from the sweeps of
+    :func:`estimate_cmsv` reports how many sweeps ran (``iterations``) and
+    why they stopped (``stop_reason``: 'tolerance', 'cap' or 'degenerate');
+    other estimates leave both None.
     """
 
     tau: float | None = None
@@ -35,6 +38,8 @@ class Estimate:
     witness: np.ndarray
     starts: int
     per_start_values: tuple = ()
+    iterations: int | None = None
+    stop_reason: str | None = None
 
     def __post_init__(self):
         if self.direction not in ("min", "max"):
@@ -114,7 +119,7 @@ def retract(batch, tau):
     values projected by :func:`_project_singular_values`.
     """
     u, s, vt = np.linalg.svd(batch, full_matrices=False)
-    return np.einsum("bij,bj,bjk->bik", u, _project_singular_values(s, tau), vt)
+    return (u * _project_singular_values(s, tau)[:, None, :]) @ vt
 
 
 def _check_tau(shape, tau):
@@ -140,13 +145,30 @@ def _witness_values(op, batch):
     return np.linalg.norm(meas, axis=1)
 
 
+def _gram_values(op, batch):
+    """G(X) for a (b, n1, n2) batch, as (b, n1*n2) rows, and ||A(X)||_2 =
+    sqrt(<X, G(X)>) from the same product.  The square root of the clamped
+    quadratic form is accurate only to about 1e-8 * sigma_max, so these
+    values serve the stop test and :func:`_witness_values` ranks the starts."""
+    rows = batch.reshape(len(batch), -1)
+    g_rows = op.gram_rows(rows)
+    return g_rows, np.sqrt(np.maximum(np.sum(rows * g_rows, axis=1), 0.0))
+
+
 def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=None):
     """Multi-start projected gradient estimate of the constrained extremal
     singular value.
 
     Descends (direction='min') or ascends ('max') the squared measurement
     norm with the fixed scale-equivariant step 1/(2*lambda_max(Gram)),
-    retracting onto the feasible set after each step.  Ties across starts
+    retracting onto the feasible set after each step.  lambda_max is the
+    exact, cached ``op.gram_norm``, and one Gram map ``op.gram_rows`` per
+    sweep gives the next gradient and the values the stop test compares;
+    the starts are ranked, and ``per_start_values`` reported, by ||A(X)||
+    from one pass through ``op.flat`` after the last sweep.  The estimate
+    records the sweep count and the stop reason: no per-start value moved
+    by more than ``cfg.rel_tol`` ('tolerance'), ``max_iters`` sweeps ran
+    ('cap'), or the operator is zero ('degenerate').  Ties across starts
     resolve to the lowest start index.
     """
     _check_tau(op.shape, tau)
@@ -155,14 +177,13 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
     if starts < 1:
         raise ValueError("starts must be >= 1")
     cfg = cfg or SolverConfig()
-    lam = power_iteration_gram_norm(op)
+    lam = op.gram_norm
     n1, n2 = op.shape
     sign = -1.0 if direction == "min" else 1.0
     if max_iters is None:
         # short default budget: each sweep is a full batched step, and
         # Monte Carlo callers run many estimates
         max_iters = min(cfg.max_iters, 300)
-    flat = op.flat
 
     # starts run in lockstep as one batch; updates are independent per start
     x0 = np.stack(
@@ -173,12 +194,14 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
         ]
     )
     x = retract(x0, tau)
+    iterations = 0
+    stop_reason = "degenerate"
     if lam > 0.0:
+        stop_reason = "cap"
         step = 1.0 / (2.0 * lam)
-        vals = _witness_values(op, x)
-        for _ in range(max_iters):
-            meas = x.reshape(starts, -1) @ flat.T  # (b, m)
-            grad = 2.0 * (meas @ flat).reshape(x.shape)
+        gx, vals = _gram_values(op, x)
+        for iterations in range(1, max_iters + 1):
+            grad = 2.0 * gx.reshape(x.shape)
             stepped = x + sign * step * grad
             # a descent step can annihilate an iterate when the operator acts
             # as a multiple of the identity on it; keep the incumbent there
@@ -186,17 +209,14 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
             if np.any(dead):
                 stepped[dead] = x[dead]
             x = retract(stepped, tau)
-            new_vals = _witness_values(op, x)
+            gx, new_vals = _gram_values(op, x)
             if np.all(np.abs(new_vals - vals) <= cfg.rel_tol * np.maximum(vals, 1e-300)):
-                vals = new_vals
+                stop_reason = "tolerance"
                 break
             vals = new_vals
-    else:
-        vals = np.zeros(starts)
-    per_start = [float(v) for v in vals]
-    witnesses = list(x)
+    vals = _witness_values(op, x)
     best = int(np.argmin(vals)) if direction == "min" else int(np.argmax(vals))
-    witness = witnesses[best]
+    witness = x[best]
     value = float(np.linalg.norm(apply_op(op, witness)))
     return Estimate(
         tau=float(tau),
@@ -204,7 +224,9 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
         value=value,
         witness=witness,
         starts=starts,
-        per_start_values=tuple(per_start),
+        per_start_values=tuple(float(v) for v in vals),
+        iterations=iterations,
+        stop_reason=stop_reason,
     )
 
 

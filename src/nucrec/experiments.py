@@ -444,3 +444,16 @@ RUNNERS = {
     "bounds": run_bounds_ledger,
     "noise-calibration": run_noise_calibration,
 }
+
+# Top-level sections each runner reads besides those every kind takes; the
+# CLI rejects any other section.  Of the estimation keys, m_sweep and
+# epsilon_band are read by the montecarlo runner alone (_m_sweep, _epsilon_band).
+COMMON_SECTIONS = ("kind", "ensemble", "trials", "seed", "output_path")
+SECTIONS_READ = {
+    "recover": ("signal", "noise", "algorithm", "solver"),
+    "cmsv": ("estimation", "solver"),
+    "montecarlo": ("estimation", "solver"),
+    "bounds": ("signal", "epsilon_grid", "solver"),
+    "noise-calibration": ("noise", "c"),
+}
+MONTECARLO_ONLY_ESTIMATION = ("m_sweep", "epsilon_band")

@@ -5,6 +5,7 @@ An operator maps an n1 x n2 matrix X to the m-vector whose k-th component is
 the trace inner product <A_k, X>.  The adjoint maps z to sum_k z_k A_k.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +33,39 @@ class MeasurementOperator:
     def shape(self):
         return self.matrices.shape[1:]
 
-    @property
+    # cached_property writes the instance __dict__ directly, so it works on
+    # this frozen dataclass as long as the class has no __slots__
+    @functools.cached_property
     def flat(self):
         """The m x (n1*n2) matrix acting on row-major vectorized input; a
         read-only view of ``matrices``, so every apply is one matmul."""
         return self.matrices.reshape(self.m, -1)
+
+    @functools.cached_property
+    def gram(self):
+        """The (n1*n2) x (n1*n2) matrix ``flat.T @ flat`` of the Gram map
+        adjoint(apply(.)), computed once per operator; read-only."""
+        g = self.flat.T @ self.flat
+        g.setflags(write=False)
+        return g
+
+    @functools.cached_property
+    def gram_norm(self):
+        """Exact lambda_max of the Gram map, the squared largest singular
+        value of ``flat``: the top eigenvalue of the smaller of ``flat @
+        flat.T`` and ``gram``, clamped at 0; computed once per operator."""
+        small = self.flat @ self.flat.T if self.m < self.flat.shape[1] else self.gram
+        return max(float(np.linalg.eigvalsh(small)[-1]), 0.0)
+
+    def gram_rows(self, rows):
+        """The Gram map adjoint(apply(.)) on row-major vectorized input, one
+        vector or a (b, n1*n2) batch of rows.  A row costs (n1*n2)^2 flops
+        through ``gram`` against 2*m*n1*n2 through ``flat`` twice, so the
+        cached matrix is used only when 2m >= n1*n2; below that, the
+        low-rank recovery regime, ``gram`` is never built."""
+        if 2 * self.m >= self.flat.shape[1]:
+            return rows @ self.gram
+        return (rows @ self.flat.T) @ self.flat
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,11 @@ halves in the opposite case, and the scaled dual variable is rescaled to
 match.  The gradient step 1/(1.01 lambda_max) does not depend on the
 penalty; the soft-threshold 1/(1.01 rho lambda_max) does.  At epsilon = 0
 the dual residual is identically 0, so the penalty stays fixed there.
+
+``lambda_max`` is the exact ``MeasurementOperator.gram_norm``, computed once
+per operator and shared by every solve and estimate on it; mDS applies the
+Gram map with ``MeasurementOperator.gram_rows``, through the cached matrix
+``MeasurementOperator.gram`` when 2m >= n1*n2.
 """
 
 from dataclasses import dataclass
@@ -57,12 +62,17 @@ class RecoveryResult:
 
 
 def power_iteration_gram_norm(op):
-    """Largest eigenvalue of the Gram composition adjoint(apply(.)).
+    """Largest eigenvalue of the Gram composition adjoint(apply(.)), by
+    power iteration.
 
     Equals the square of the unconstrained maximal singular value of the
     operator.  Deterministic: the start vector depends only on the shape.
     Stops once an iterate changes the estimate by at most 1e-10 of its
     value, or after 1000 iterations.
+
+    No library path calls it: the solvers and ``estimate_cmsv`` read the
+    exact ``MeasurementOperator.gram_norm``.  It stays as the tests'
+    independent reference and as a name the benchmark tracer times.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0x9E3779B9)))
     v = rng.standard_normal(op.shape)
@@ -113,7 +123,7 @@ def solve_mbp(scenario, epsilon, cfg=None):
     op = scenario.operator
     y = scenario.y
     rho = cfg.admm_rho
-    lam_gram = power_iteration_gram_norm(op)
+    lam_gram = op.gram_norm
     if lam_gram == 0.0:
         # zero operator: any feasibility is decided by ||y|| vs epsilon
         x_hat = np.zeros(op.shape)
@@ -157,8 +167,8 @@ def solve_mds(scenario, lam, cfg=None):
 
     Auxiliary matrix variable W = A*(y) - A*(A(Z)) is kept inside the
     operator-norm ball of radius lam by singular value clipping.  The loop
-    runs on vectorized matrices through ``op.flat`` and reuses G(Z) =
-    A*(A(Z)) from the previous iteration.
+    runs on vectorized matrices, applies G = A*A with ``op.gram_rows`` and
+    reuses G(Z) from the previous iteration.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -166,7 +176,7 @@ def solve_mds(scenario, lam, cfg=None):
     op = scenario.operator
     y = scenario.y
     rho = cfg.admm_rho
-    lam_gram = power_iteration_gram_norm(op)
+    lam_gram = op.gram_norm
     if lam_gram == 0.0:
         x_hat = np.zeros(op.shape)
         return RecoveryResult(x_hat, 0, 0.0, 0.0, 0.0, True, True)
@@ -175,9 +185,7 @@ def solve_mds(scenario, lam, cfg=None):
     step = t * rho
     a = op.flat
     c = y @ a
-
-    def g(x):
-        return (a @ x) @ a
+    g = op.gram_rows
 
     z = np.zeros(a.shape[1])
     gz = np.zeros(a.shape[1])
@@ -217,7 +225,7 @@ def solve_mlasso(scenario, mu, cfg=None):
     cfg = cfg or SolverConfig()
     op = scenario.operator
     y = scenario.y
-    lam_gram = power_iteration_gram_norm(op)
+    lam_gram = op.gram_norm
     step = 1.0 / (lam_gram * 1.0000001) if lam_gram > 0 else 1.0
 
     def objective(x):

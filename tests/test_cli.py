@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nucrec.cli import EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGED, EXIT_OK, main
+from nucrec.cli import EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGED, EXIT_OK, _check_runnable, main
 from nucrec.config_schema import validate
 from nucrec.experiments import config_hash
 from test_acceptance import CLI_CONFIGS
@@ -89,6 +89,7 @@ def test_readme_configs_are_valid(tmp_path):
     assert set(configs) == {"montecarlo", "bounds"}
     for doc in configs.values():
         validate(doc)
+        _check_runnable(doc, doc["kind"])  # both kinds are also subcommand names
     cfg = write_config(tmp_path, configs["bounds"])
     out = tmp_path / "out"
     assert main(["bounds", "--config", cfg, "--out", str(out), "--trials", "1"]) == EXIT_OK
@@ -201,6 +202,28 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([sub, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("sub, doc, key", [
+        ("cmsv", cmsv_config(epsilon_grid=[0.1]), "epsilon_grid"),
+        ("cmsv", cmsv_config(algorithm={"name": "mbp"}), "algorithm"),
+        ("cmsv", cmsv_config(signal={"r": 1}), "signal"),
+        ("cmsv", cmsv_config(c=8.0), "c"),
+        ("cmsv", cmsv_config(estimation={"tau": 2.0, "m_sweep": [16]}), "estimation.m_sweep"),
+        ("cmsv", cmsv_config(estimation={"tau": 2.0, "epsilon_band": 0.3}), "estimation.epsilon_band"),
+        ("montecarlo", montecarlo_config(noise={"kind": "none"}), "noise"),
+        ("recover", recover_config(estimation={"tau": 2.0}), "estimation"),
+        ("bounds", bounds_config(noise={"kind": "none"}), "noise"),
+        ("noise-cal", {"kind": "noise-calibration", "ensemble": {"kind": "gaussian", "n1": 3, "n2": 3, "m": 10},
+                       "solver": {"max_iters": 5}, "trials": 5, "seed": 1}, "solver"),
+    ], ids=["cmsv-epsilon_grid", "cmsv-algorithm", "cmsv-signal", "cmsv-c", "cmsv-m_sweep",
+            "cmsv-epsilon_band", "montecarlo-noise", "recover-estimation", "bounds-noise", "noise-cal-solver"])
+    def test_section_its_kind_never_reads(self, tmp_path, capsys, sub, doc, key):
+        # each passes the schema and used to exit 0 with the section ignored
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([sub, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"{key}: not read by kind" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -159,6 +159,37 @@ class TestEstimateCmsv:
         assert mins[0] >= mins[1] - 1e-6 >= mins[2] - 2e-6
         assert maxs[0] <= maxs[1] + 1e-6 <= maxs[2] + 2e-6
 
+    def test_per_start_values_from_the_gram_path(self):
+        op = tiny_op(seed=10, n1=3, n2=3, m=20)
+        est = estimate_cmsv(op, 2.0, "max", starts=5, seed=1)
+        assert len(est.per_start_values) == 5
+        assert max(est.per_start_values) == pytest.approx(est.value, rel=1e-12)
+
+    @pytest.mark.parametrize("n, m, tau", [(2, 3, 2.0), (3, 4, 3.0)], ids=["gram", "flat"])
+    def test_per_start_values_exact_near_zero(self, n, m, tau):
+        # A has a null space and tau = n_min makes all of it feasible, so the
+        # minimum is 0 and the starts end far below sqrt(eps) * sigma_max,
+        # where sqrt(<X, G(X)>) is rounding noise
+        op = tiny_op(seed=12, n1=n, n2=n, m=m)
+        est = estimate_cmsv(op, tau, "min", starts=4, seed=2)
+        sigma_max = np.sqrt(op.gram_norm)
+        assert est.value <= 1e-6 * sigma_max
+        best = int(np.argmin(est.per_start_values))
+        assert abs(est.per_start_values[best] - est.value) <= 1e-14 * sigma_max
+
+    def test_stop_reasons(self):
+        op = tiny_op(seed=11, n1=3, n2=3, m=20)
+        capped = estimate_cmsv(op, 2.0, "min", starts=4, seed=0, max_iters=5)
+        assert (capped.iterations, capped.stop_reason) == (5, "cap")
+        # orthonormal rows: every feasible point has the same value
+        converged = estimate_cmsv(entry_basis_op(3), 2.0, "min", starts=4, seed=0)
+        assert converged.stop_reason == "tolerance" and 1 <= converged.iterations < 300
+        zero = estimate_cmsv(MeasurementOperator(np.zeros((4, 2, 2))), 1.5, "min", starts=3)
+        assert (zero.iterations, zero.stop_reason, zero.value) == (0, "degenerate", 0.0)
+        # estimates from other routines do not come from sweeps
+        assert brute_force_cmsv(op, 3.0, "min").stop_reason is None
+        assert estimate_rcsv(op, 1, "min", starts=2).iterations is None
+
     def test_bad_args(self):
         op = tiny_op(seed=9)
         with pytest.raises(ValueError):

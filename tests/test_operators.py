@@ -152,6 +152,34 @@ class TestScaleAndGram:
         assert not mat.flags.writeable
 
 
+class TestGramCache:
+    @pytest.mark.parametrize("m", [5, 12, 30], ids=["m<n", "m=n", "m>n"])
+    def test_gram_norm_is_the_squared_top_singular_value(self, m):
+        op = random_op(np.random.default_rng(m), 3, 4, m)
+        top = np.linalg.svd(op.flat, compute_uv=False)[0]
+        assert op.gram_norm == pytest.approx(top**2, rel=1e-12)
+
+    def test_zero_operator(self):
+        assert MeasurementOperator(np.zeros((4, 2, 3))).gram_norm == 0.0
+
+    @pytest.mark.parametrize("m", [4, 5, 12], ids=["flat", "2m=n", "gram"])
+    def test_gram_rows(self, m):
+        op = random_op(np.random.default_rng(m), 2, 5, m)
+        rows = np.random.default_rng(0).standard_normal((3, 10))
+        ref = (rows @ op.flat.T) @ op.flat
+        assert np.allclose(op.gram_rows(rows), ref, rtol=0, atol=1e-12)
+        assert np.allclose(op.gram_rows(rows[0]), ref[0], rtol=0, atol=1e-12)
+        # below 2m = n1*n2 the map goes through flat and never builds gram
+        assert ("gram" in op.__dict__) == (2 * m >= 10)
+
+    def test_gram_is_cached_and_read_only(self):
+        op = random_op(np.random.default_rng(1), 2, 3, 5)
+        assert op.gram is op.gram
+        assert np.allclose(op.gram, op.flat.T @ op.flat, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError):
+            op.gram[0, 0] = 1.0
+
+
 class TestScenario:
     def test_noiseless(self):
         rng = np.random.default_rng(15)

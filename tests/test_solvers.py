@@ -40,6 +40,25 @@ class TestPowerIteration:
         lam = np.linalg.eigvalsh(a.T @ a).max()
         assert power_iteration_gram_norm(op) == pytest.approx(lam, rel=1e-7)
 
+    @pytest.mark.parametrize("m", [5, 9, 20])
+    def test_agrees_with_cached_gram_norm(self, m):
+        op = draw_operator(EnsembleSpec("gaussian", 3, 3, m, seed=m, normalize=True))
+        assert power_iteration_gram_norm(op) == pytest.approx(op.gram_norm, rel=1e-8)
+
+
+def test_zero_operator_branch():
+    op = MeasurementOperator(np.zeros((5, 2, 2)))
+    scn = make_scenario(op, np.eye(2))
+    assert op.gram_norm == 0.0
+    for res in (solve_mbp(scn, 0.1), solve_mds(scn, 0.1)):
+        # the ADMM solvers return at once, without an iteration
+        assert res.iterations == 0 and res.converged
+        assert np.array_equal(res.x_hat, np.zeros((2, 2)))
+    # mLASSO falls back to a unit step; the zero start is already stationary
+    res = solve_mlasso(scn, 0.1)
+    assert res.converged and res.feasible
+    assert np.array_equal(res.x_hat, np.zeros((2, 2)))
+
 
 class TestMbp:
     def test_noiseless_exact_recovery(self):
@@ -140,6 +159,15 @@ class TestMds:
         res = solve_mds(scn, lam)
         corr = adjoint(op, scn.y - apply_op(op, res.x_hat))
         assert operator_norm(corr) <= lam + 1e-6
+
+    def test_constraint_satisfied_below_half_sampling(self):
+        # 2m < n1*n2: the Gram map goes through flat, and gram is never built
+        op, x, scn = gaussian_instance(seed=25, m=12, noise="gaussian", sigma=0.02)
+        lam = 0.1
+        res = solve_mds(scn, lam)
+        corr = adjoint(op, scn.y - apply_op(op, res.x_hat))
+        assert operator_norm(corr) <= lam + 1e-6
+        assert "gram" not in op.__dict__
 
     def test_large_lambda_gives_zero(self):
         op, x, scn = gaussian_instance(seed=23)
