@@ -17,6 +17,7 @@ import sys
 from nucrec.config_schema import ConfigError, validate
 from nucrec.experiments import (
     COMMON_SECTIONS,
+    DEFAULT_TAU,
     MONTECARLO_ONLY_ESTIMATION,
     RUNNERS,
     SECTIONS_READ,
@@ -76,8 +77,9 @@ def _check_runnable(config, command):
     """Raise ConfigError for a config the schema accepts but ``command``
     cannot run as written: another kind, a section or estimation key its
     runner never reads, a missing section or algorithm parameter its runner
-    needs, or montecarlo with ``ensemble.normalize`` false, which its runner
-    would override."""
+    needs, montecarlo with ``ensemble.normalize`` false, which its runner
+    would override, or an ``estimation.tau`` (default ``DEFAULT_TAU``) or
+    ``signal.r`` above min(n1, n2)."""
     kind = config["kind"]
     if kind != _SUBCOMMAND_KIND[command]:
         raise ConfigError(f"config kind {kind!r} does not match subcommand {command!r}")
@@ -98,6 +100,12 @@ def _check_runnable(config, command):
             raise ConfigError(f"algorithm.{param}: required for algorithm {name!r}")
     if kind == "montecarlo" and config["ensemble"].get("normalize") is False:
         raise ConfigError("ensemble.normalize: montecarlo always normalizes the operator; false is not supported")
+    n_min = min(config["ensemble"]["n1"], config["ensemble"]["n2"])
+    tau = config.get("estimation", {}).get("tau", DEFAULT_TAU)
+    if kind in ("cmsv", "montecarlo") and tau > n_min:
+        raise ConfigError(f"estimation.tau: {tau!r} exceeds min(n1, n2) = {n_min}")
+    if kind in ("recover", "bounds") and config["signal"]["r"] > n_min:
+        raise ConfigError(f"signal.r: {config['signal']['r']!r} exceeds min(n1, n2) = {n_min}")
 
 
 def main(argv=None):

@@ -40,26 +40,16 @@ def config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+# The estimation tau when a cmsv or montecarlo config sets none.
+DEFAULT_TAU = 2.0
+
+
 def _solver_config(config):
-    s = config.get("solver", {})
-    return SolverConfig(
-        max_iters=s.get("max_iters", 20000),
-        abs_tol=s.get("abs_tol", 1e-8),
-        rel_tol=s.get("rel_tol", 1e-6),
-        admm_rho=s.get("admm_rho", 1.0),
-    )
+    return SolverConfig(**config.get("solver", {}))
 
 
-def _ensemble_spec(config, seed, m=None):
-    e = config["ensemble"]
-    return EnsembleSpec(
-        kind=e["kind"],
-        n1=e["n1"],
-        n2=e["n2"],
-        m=m if m is not None else e["m"],
-        seed=seed,
-        normalize=e.get("normalize", False),
-    )
+def _ensemble_spec(config, seed, **overrides):
+    return EnsembleSpec(**{**config["ensemble"], "seed": seed, **overrides})
 
 
 def _write_csv(path, columns, rows, meta):
@@ -224,7 +214,7 @@ def _cmsv_trial(args):
     est = config.get("estimation", {})
     spec = _ensemble_spec(config, derive_seed(seed, trial * 2))
     op = draw_operator(spec)
-    tau = est.get("tau", 2.0)
+    tau = est.get("tau", DEFAULT_TAU)
     starts = est.get("starts", 32)
     cfg = _solver_config(config)
     lo = estimate_cmsv(op, tau, "min", starts=starts, seed=derive_seed(seed, trial * 2 + 1), cfg=cfg)
@@ -264,11 +254,10 @@ def _montecarlo_trial(args):
     config, m, trial = args
     seed = config["seed"]
     est = config.get("estimation", {})
-    tau = est.get("tau", 2.0)
+    tau = est.get("tau", DEFAULT_TAU)
     starts = est.get("starts", 8)
-    spec = _ensemble_spec(config, derive_seed(seed, m * 100_003 + trial * 2), m=m)
     # normalized operator A/sqrt(m) regardless of the ensemble's own flag
-    spec = EnsembleSpec(spec.kind, spec.n1, spec.n2, spec.m, spec.seed, normalize=True)
+    spec = _ensemble_spec(config, derive_seed(seed, m * 100_003 + trial * 2), m=m, normalize=True)
     op = draw_operator(spec)
     cfg = _solver_config(config)
     est_seed = derive_seed(seed, m * 100_003 + trial * 2 + 1)

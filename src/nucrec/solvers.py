@@ -7,9 +7,11 @@ Three programs are solved at desk scale:
                            (operator norm of the residual correlation matrix)
 * matrix LASSO:            min 0.5*||y - A(Z)||_2^2 + mu*||Z||_*
 
-The constrained programs use linearized ADMM (singular value soft-threshold
-as the Z-update, a Euclidean-ball or operator-norm-ball projection as the
-auxiliary update); the penalized program uses FISTA with adaptive restart.
+Both constrained programs are min ||Z||_* s.t. M(Z) in C, solved by one
+linearized ADMM loop (singular value soft-threshold as the Z-update,
+projection onto C as the auxiliary update): mBP has M = A and C the eps-ball
+around y; mDS has M = A*A and C the operator-norm ball of radius lam around
+A*(y).  The penalized program uses FISTA with adaptive restart.
 Non-convergence is flagged on the result, never raised, so Monte Carlo
 drivers can count failures.
 
@@ -18,14 +20,15 @@ starts from it and balances the residuals (Boyd et al. 2011, section 3.4.1):
 while fewer than 200 iterations have run and epsilon > 0, the penalty
 doubles when the primal residual exceeds 10 times the dual residual and
 halves in the opposite case, and the scaled dual variable is rescaled to
-match.  The gradient step 1/(1.01 lambda_max) does not depend on the
-penalty; the soft-threshold 1/(1.01 rho lambda_max) does.  At epsilon = 0
-the dual residual is identically 0, so the penalty stays fixed there.
+match.  With lambda_M the largest eigenvalue of M*M, the gradient step
+1/(1.01 lambda_M) does not depend on the penalty; the soft-threshold
+1/(1.01 rho lambda_M) does.  At epsilon = 0 the dual residual is
+identically 0, so the penalty stays fixed there.
 
-``lambda_max`` is the exact ``MeasurementOperator.gram_norm``, computed once
-per operator and shared by every solve and estimate on it; mDS applies the
-Gram map with ``MeasurementOperator.gram_rows``, through the cached matrix
-``MeasurementOperator.gram`` when 2m >= n1*n2.
+lambda_M is the exact ``MeasurementOperator.gram_norm`` for mBP and its
+square for mDS, computed once per operator and shared by every solve and
+estimate on it; mDS applies A*A with ``MeasurementOperator.gram_rows``,
+through the cached matrix ``MeasurementOperator.gram`` when 2m >= n1*n2.
 """
 
 from dataclasses import dataclass
@@ -110,45 +113,30 @@ BALANCE_RATIO = 10.0
 BALANCE_ITERS = 200
 
 
-def solve_mbp(scenario, epsilon, cfg=None):
-    """Matrix Basis Pursuit via linearized ADMM with residual balancing.
-
-    The splitting introduces v = A(Z) constrained to the epsilon-ball around
-    y (the single point {y} when epsilon = 0).  The loop runs on vectorized
-    Z through ``op.flat`` and reuses A(Z) from the previous iteration.
+def _linearized_admm(forward, backward, project, lam_m, shape, cfg, balance_iters):
+    """min ||Z||_* s.t. M(Z) in C on vectorized Z, with v = M(Z) in C and
+    scaled dual u.  ``forward`` applies M, ``backward`` M*, ``project``
+    projects onto C; ``lam_m`` is lambda_max(M*M).  M(Z) is reused from the
+    previous iteration, and the penalty is balanced while fewer than
+    ``balance_iters`` iterations have run.  Returns (Z, M(Z), iterations,
+    primal residual ||M(Z) - v||, dual residual rho*||M*(v - v_old)||,
+    converged).
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    cfg = cfg or SolverConfig()
-    op = scenario.operator
-    y = scenario.y
     rho = cfg.admm_rho
-    lam_gram = op.gram_norm
-    if lam_gram == 0.0:
-        # zero operator: any feasibility is decided by ||y|| vs epsilon
-        x_hat = np.zeros(op.shape)
-        feas = np.linalg.norm(y) <= epsilon + cfg.abs_tol
-        return RecoveryResult(x_hat, 0, float(np.linalg.norm(y)), 0.0, 0.0, feas, feas)
-    a = op.flat
-    step = 1.0 / (lam_gram * 1.01)
-    # at epsilon = 0, v == y and the dual residual is 0: never balance there
-    balance_iters = BALANCE_ITERS if epsilon > 0 else 0
-
-    z = np.zeros(a.shape[1])
-    az = np.zeros(op.m)
-    v = _project_ball(az, y, epsilon)
-    u = np.zeros(op.m)
-    converged = False
-    it = 0
-    pri = dual = np.inf
+    step = 1.0 / (lam_m * 1.01)
+    z = np.zeros(shape[0] * shape[1])
+    mz = forward(z)
+    v = project(mz)
+    u = np.zeros_like(v)
+    it, pri, dual, converged = 0, np.inf, np.inf, False
     for it in range(1, cfg.max_iters + 1):
-        z = prox_nuclear((z - step * ((az - v + u) @ a)).reshape(op.shape), step / rho).reshape(-1)
-        az = a @ z
+        z = prox_nuclear((z - step * backward(mz - v + u)).reshape(shape), step / rho).reshape(-1)
+        mz = forward(z)
         v_old = v
-        v = _project_ball(az + u, y, epsilon)
-        u = u + az - v
-        pri = float(np.linalg.norm(az - v))
-        dual = float(rho * np.linalg.norm((v - v_old) @ a))
+        v = project(mz + u)
+        u = u + mz - v
+        pri = float(np.linalg.norm(mz - v))
+        dual = float(rho * np.linalg.norm(backward(v - v_old)))
         if pri <= cfg.abs_tol and dual <= cfg.abs_tol:
             converged = True
             break
@@ -157,54 +145,49 @@ def solve_mbp(scenario, epsilon, cfg=None):
                 rho, u = 2.0 * rho, u / 2.0
             elif dual > BALANCE_RATIO * pri:
                 rho, u = rho / 2.0, 2.0 * u
+    return z, mz, it, pri, dual, converged
+
+
+def solve_mbp(scenario, epsilon, cfg=None):
+    """Matrix Basis Pursuit: the ADMM loop with M = A, applied through
+    ``op.flat``, and C the epsilon-ball around y, with residual balancing."""
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    cfg = cfg or SolverConfig()
+    op = scenario.operator
+    y = scenario.y
+    if op.gram_norm == 0.0:
+        # zero operator: any feasibility is decided by ||y|| vs epsilon
+        x_hat = np.zeros(op.shape)
+        feas = np.linalg.norm(y) <= epsilon + cfg.abs_tol
+        return RecoveryResult(x_hat, 0, float(np.linalg.norm(y)), 0.0, 0.0, feas, feas)
+    a = op.flat
+    # at epsilon = 0, v == y and the dual residual is 0: never balance there
+    z, az, it, pri, dual, converged = _linearized_admm(
+        lambda x: a @ x, lambda r: r @ a, lambda p: _project_ball(p, y, epsilon),
+        op.gram_norm, op.shape, cfg, BALANCE_ITERS if epsilon > 0 else 0)
     x_hat = z.reshape(op.shape)
     feasible = float(np.linalg.norm(y - az)) <= epsilon + 10 * cfg.abs_tol
     return RecoveryResult(x_hat, it, pri, dual, nuclear_norm(x_hat), feasible, converged)
 
 
 def solve_mds(scenario, lam, cfg=None):
-    """Matrix Dantzig Selector via linearized ADMM at the fixed penalty.
-
-    Auxiliary matrix variable W = A*(y) - A*(A(Z)) is kept inside the
-    operator-norm ball of radius lam by singular value clipping.  The loop
-    runs on vectorized matrices, applies G = A*A with ``op.gram_rows`` and
-    reuses G(Z) from the previous iteration.
-    """
+    """Matrix Dantzig Selector: the ADMM loop at the fixed penalty with
+    M = A*A, applied by ``op.gram_rows``, and C the operator-norm ball of
+    radius lam around c = A*(y), reached by clipping the singular values of
+    c - p."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     cfg = cfg or SolverConfig()
     op = scenario.operator
     y = scenario.y
-    rho = cfg.admm_rho
-    lam_gram = op.gram_norm
-    if lam_gram == 0.0:
+    if op.gram_norm == 0.0:
         x_hat = np.zeros(op.shape)
         return RecoveryResult(x_hat, 0, 0.0, 0.0, 0.0, True, True)
-    # linear map G = A* A; Lipschitz constant of G o G is lam_gram^2
-    t = 1.0 / (rho * lam_gram**2 * 1.01)
-    step = t * rho
-    a = op.flat
-    c = y @ a
-    g = op.gram_rows
-
-    z = np.zeros(a.shape[1])
-    gz = np.zeros(a.shape[1])
-    w = _project_opnorm_ball(c, lam, op.shape)
-    u = np.zeros(a.shape[1])
-    converged = False
-    it = 0
-    pri = dual = np.inf
-    for it in range(1, cfg.max_iters + 1):
-        z = prox_nuclear((z - step * g(gz + w - c + u)).reshape(op.shape), t).reshape(-1)
-        gz = g(z)
-        w_old = w
-        w = _project_opnorm_ball(c - gz - u, lam, op.shape)
-        u = u + gz + w - c
-        pri = float(np.linalg.norm(gz + w - c))
-        dual = float(rho * np.linalg.norm(g(w - w_old)))
-        if pri <= cfg.abs_tol and dual <= cfg.abs_tol:
-            converged = True
-            break
+    c = y @ op.flat
+    z, _, it, pri, dual, converged = _linearized_admm(
+        op.gram_rows, op.gram_rows, lambda p: c - _project_opnorm_ball(c - p, lam, op.shape),
+        op.gram_norm**2, op.shape, cfg, 0)
     x_hat = z.reshape(op.shape)
     resid_corr = adjoint(op, y - apply_op(op, x_hat))
     feasible = operator_norm(resid_corr) <= lam + 10 * cfg.abs_tol

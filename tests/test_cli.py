@@ -192,12 +192,20 @@ class TestExitCodes:
         ("bounds", without(bounds_config(), "signal"), "signal"),
         ("montecarlo", montecarlo_config(ensemble={"kind": "gaussian", "n1": 4, "n2": 4, "m": 64,
                                                    "normalize": False}), "ensemble.normalize"),
+        ("cmsv", cmsv_config(estimation={"tau": 5.0, "starts": 4}), "estimation.tau"),
+        ("cmsv", cmsv_config(ensemble={"kind": "gaussian", "n1": 1, "n2": 3, "m": 4},
+                             estimation={"starts": 4}), "estimation.tau"),
+        ("montecarlo", montecarlo_config(estimation={"tau": 5.0, "m_sweep": [32]}), "estimation.tau"),
+        ("recover", recover_config(signal={"r": 5}), "signal.r"),
+        ("bounds", bounds_config(signal={"r": 3}), "signal.r"),
     ], ids=["recover-signal", "recover-algorithm", "mds-lambda", "mlasso-mu", "bounds-signal",
-            "montecarlo-normalize"])
+            "montecarlo-normalize", "cmsv-tau", "cmsv-default-tau", "montecarlo-tau", "recover-rank",
+            "bounds-rank"])
     def test_config_its_kind_cannot_run(self, tmp_path, capsys, sub, doc, key):
         # each passes the schema; the missing keys used to crash the runner
-        # with a KeyError (exit 1) after it created the output directory, and
-        # montecarlo silently normalized anyway
+        # with a KeyError (exit 1) after it created the output directory,
+        # montecarlo silently normalized anyway, and a tau or rank above
+        # min(n1, n2) exited 2 only after creating the output directory
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main([sub, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -417,10 +425,18 @@ class TestRunners:
         assert data["suggested_mu"] == pytest.approx(2 * data["suggested_lambda"])
         assert data["exceed_fraction"] <= 0.05
 
-    @pytest.mark.parametrize("sub", ["recover", "cmsv", "montecarlo", "bounds"])
-    def test_jobs_matches_serial(self, tmp_path, sub):
+    @pytest.mark.parametrize("sub, algorithm", [
+        ("recover", None),
+        ("recover", {"name": "mds", "lambda": 0.05}),
+        ("recover", {"name": "mlasso", "mu": 0.05}),
+        ("cmsv", None),
+        ("montecarlo", None),
+        ("bounds", None),
+    ], ids=["recover", "recover-mds", "recover-mlasso", "cmsv", "montecarlo", "bounds"])
+    def test_jobs_matches_serial(self, tmp_path, sub, algorithm):
         # three trials, so every runner maps them over the pool of two
-        cfg = write_config(tmp_path, CLI_CONFIGS[sub])
+        doc = CLI_CONFIGS[sub] if algorithm is None else {**CLI_CONFIGS[sub], "algorithm": algorithm}
+        cfg = write_config(tmp_path, doc)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main([sub, "--config", cfg, "--out", str(out_a), "--trials", "3"]) == EXIT_OK
         assert main([sub, "--config", cfg, "--out", str(out_b), "--trials", "3", "--jobs", "2"]) == EXIT_OK

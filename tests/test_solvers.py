@@ -87,10 +87,12 @@ class TestMbp:
         assert nuclear_norm(res.x_hat) <= 1e-6
 
     def test_objective_no_larger_than_truth(self):
+        # the default penalty and a starting penalty on either side of it
         op, x, scn = gaussian_instance(seed=13, noise="bounded", epsilon=0.05)
-        res = solve_mbp(scn, 0.05)
-        assert res.feasible
-        assert res.objective <= nuclear_norm(x) + 1e-6
+        for rho in (1.0, 0.25, 4.0):
+            res = solve_mbp(scn, 0.05, SolverConfig(admm_rho=rho))
+            assert res.converged and res.feasible, rho
+            assert res.objective <= nuclear_norm(x) + 1e-6, rho
 
     def test_balanced_penalty_converges_fast(self):
         # trial 0 of the benchmark's recovery workload at seed 100; the
@@ -154,11 +156,14 @@ class TestMds:
         assert np.linalg.norm(res.x_hat - x) <= 2e-2
 
     def test_constraint_satisfied(self):
+        # the default fixed penalty and one on either side of it
         op, x, scn = gaussian_instance(seed=22, noise="gaussian", sigma=0.02)
         lam = 0.1
-        res = solve_mds(scn, lam)
-        corr = adjoint(op, scn.y - apply_op(op, res.x_hat))
-        assert operator_norm(corr) <= lam + 1e-6
+        for rho in (1.0, 0.25, 4.0):
+            res = solve_mds(scn, lam, SolverConfig(admm_rho=rho))
+            assert res.converged and res.feasible, rho
+            corr = adjoint(op, scn.y - apply_op(op, res.x_hat))
+            assert operator_norm(corr) <= lam + 1e-6, rho
 
     def test_constraint_satisfied_below_half_sampling(self):
         # 2m < n1*n2: the Gram map goes through flat, and gram is never built
@@ -234,6 +239,8 @@ class TestConfigValidation:
             SolverConfig(admm_rho=-1.0)
 
     def test_max_iters_flags_nonconvergence(self):
+        # one case per solver, in a loop so that the test keeps its name
         op, x, scn = gaussian_instance(seed=40, noise="gaussian", sigma=0.05)
-        res = solve_mlasso(scn, 0.01, SolverConfig(max_iters=2))
-        assert not res.converged
+        for solve, param in ((solve_mbp, 0.05), (solve_mds, 0.1), (solve_mlasso, 0.01)):
+            res = solve(scn, param, SolverConfig(max_iters=2))
+            assert not res.converged and res.iterations == 2, solve.__name__
