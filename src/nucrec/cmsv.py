@@ -26,9 +26,10 @@ class Estimate:
     ||X||_*^2 <= tau ||X||_F^2 (``tau`` set) or by rank(X) <= r (``r`` set).
     Exactly one of ``tau`` and ``r`` is given, and the witness is checked
     against it on construction.  An estimate from the sweeps of
-    :func:`estimate_cmsv` reports how many sweeps ran (``iterations``) and
-    why they stopped (``stop_reason``: 'tolerance', 'cap' or 'degenerate');
-    other estimates leave both None.
+    :func:`estimate_cmsv` or :func:`estimate_rcsv` reports the most sweeps
+    a start ran (``iterations``) and why they stopped (``stop_reason``:
+    'tolerance', 'cap' or 'degenerate'); the brute-force oracle leaves both
+    None.
     """
 
     tau: float | None = None
@@ -155,19 +156,32 @@ def _gram_values(op, batch):
     return g_rows, np.sqrt(np.maximum(np.sum(rows * g_rows, axis=1), 0.0))
 
 
-def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=None):
-    """Multi-start projected gradient estimate of the constrained extremal
-    singular value.
+def _step(y, gy, x, sign, step, tau):
+    """Retracted steps y + sign*step*2*G(y) of a batch; a step that
+    annihilates a matrix (G a multiple of I on it) keeps its incumbent x."""
+    stepped = y + sign * step * 2.0 * gy.reshape(y.shape)
+    dead = np.linalg.norm(stepped, axis=(1, 2)) <= 1e-12
+    if np.any(dead):
+        stepped[dead] = x[dead]
+    return retract(stepped, tau)
+
+
+def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None):
+    """Multi-start accelerated projected gradient estimate of the constrained
+    extremal singular value.
 
     Descends (direction='min') or ascends ('max') the squared measurement
-    norm with the fixed scale-equivariant step 1/(2*lambda_max(Gram)),
-    retracting onto the feasible set after each step.  lambda_max is the
-    exact, cached ``op.gram_norm``, and one Gram map ``op.gram_rows`` per
-    sweep gives the next gradient and the values the stop test compares;
-    the starts are ranked, and ``per_start_values`` reported, by ||A(X)||
-    from one pass through ``op.flat`` after the last sweep.  The estimate
-    records the sweep count and the stop reason: no per-start value moved
-    by more than ``cfg.rel_tol`` ('tolerance'), ``max_iters`` sweeps ran
+    norm with the fixed scale-equivariant step 1/(2*``op.gram_norm``) from
+    the Nesterov point y = x + beta*(x - x_prev) (FISTA's theta sequence),
+    retracting onto the feasible set.  By linearity G(y) = G(x) + beta*(G(x)
+    - G(x_prev)) costs no Gram apply; one ``op.gram_rows`` call at the new
+    iterates gives the next gradient and the values the stop test compares
+    (the restarted starts need a second one).  A start whose value
+    gets worse takes the plain step from its incumbent instead and resets
+    its theta to 1 (function-value restart).  The starts are ranked, and
+    ``per_start_values`` reported, by ||A(X)|| from ``op.flat`` after the
+    last sweep.  Stop reasons: no per-start value moved by more than
+    ``cfg.rel_tol`` ('tolerance'), min(cfg.max_iters, 300) sweeps ran
     ('cap'), or the operator is zero ('degenerate').  Ties across starts
     resolve to the lowest start index.
     """
@@ -180,10 +194,7 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
     lam = op.gram_norm
     n1, n2 = op.shape
     sign = -1.0 if direction == "min" else 1.0
-    if max_iters is None:
-        # short default budget: each sweep is a full batched step, and
-        # Monte Carlo callers run many estimates
-        max_iters = min(cfg.max_iters, 300)
+    max_iters = min(cfg.max_iters, 300)  # Monte Carlo callers run many estimates
 
     # starts run in lockstep as one batch; updates are independent per start
     x0 = np.stack(
@@ -200,20 +211,24 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None, max_iters=Non
         stop_reason = "cap"
         step = 1.0 / (2.0 * lam)
         gx, vals = _gram_values(op, x)
+        x_prev, g_prev = x, gx
+        theta = np.ones(starts)
         for iterations in range(1, max_iters + 1):
-            grad = 2.0 * gx.reshape(x.shape)
-            stepped = x + sign * step * grad
-            # a descent step can annihilate an iterate when the operator acts
-            # as a multiple of the identity on it; keep the incumbent there
-            dead = np.linalg.norm(stepped, axis=(1, 2)) <= 1e-12
-            if np.any(dead):
-                stepped[dead] = x[dead]
-            x = retract(stepped, tau)
-            gx, new_vals = _gram_values(op, x)
-            if np.all(np.abs(new_vals - vals) <= cfg.rel_tol * np.maximum(vals, 1e-300)):
+            theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
+            beta = ((theta - 1.0) / theta_next)[:, None]
+            y = x + beta[:, :, None] * (x - x_prev)
+            x_new = _step(y, gx + beta * (gx - g_prev), x, sign, step, tau)
+            g_new, new_vals = _gram_values(op, x_new)
+            worse = sign * (new_vals - vals) < 0.0
+            if np.any(worse):
+                x_new[worse] = _step(x[worse], gx[worse], x[worse], sign, step, tau)
+                g_new[worse], new_vals[worse] = _gram_values(op, x_new[worse])
+                theta_next[worse] = 1.0
+            settled = np.all(np.abs(new_vals - vals) <= cfg.rel_tol * np.maximum(vals, 1e-300))
+            x_prev, g_prev, x, gx, vals, theta = x, gx, x_new, g_new, new_vals, theta_next
+            if settled:
                 stop_reason = "tolerance"
                 break
-            vals = new_vals
     vals = _witness_values(op, x)
     best = int(np.argmin(vals)) if direction == "min" else int(np.argmax(vals))
     witness = x[best]
@@ -346,8 +361,8 @@ def estimate_rcsv(op, r, direction, starts=8, seed=0):
 
     Each half-step solves a generalized eigenvalue problem exactly, so the
     quotient is monotone along sweeps.  A start stops after 40 sweeps, or
-    once a sweep changes the quotient by at most 1e-9 of its value.
-    One-sided evidence semantics.
+    once a sweep changes the quotient by at most 1e-9 of its value; any
+    start that ran all 40 makes the stop reason 'cap'.  One-sided evidence.
     """
     n1, n2 = op.shape
     if not 1 <= r <= min(n1, n2):
@@ -358,12 +373,14 @@ def estimate_rcsv(op, r, direction, starts=8, seed=0):
 
     per_start = []
     witnesses = []
+    sweeps = 0
+    capped = False
     for k in range(starts):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(derive_seed(seed, k))))
         left = rng.standard_normal((n1, r))
         right = rng.standard_normal((n2, r))
         prev = None
-        for _ in range(40):
+        for sweep in range(1, 41):
             # left update: rows of phi are (A_k @ right).flatten()
             phi = (mats @ right).reshape(op.m, -1)
             gf = np.kron(np.eye(n1), right.T @ right)
@@ -378,9 +395,11 @@ def estimate_rcsv(op, r, direction, starts=8, seed=0):
                 break
             val = float(np.linalg.norm(apply_op(op, x / nrm)))
             if prev is not None and abs(val - prev) <= 1e-9 * max(val, 1e-300):
-                prev = val
                 break
             prev = val
+        else:
+            capped = True
+        sweeps = max(sweeps, sweep)
         x = left @ right.T
         nrm = np.linalg.norm(x)
         if nrm == 0.0:
@@ -404,6 +423,8 @@ def estimate_rcsv(op, r, direction, starts=8, seed=0):
         witness=witness,
         starts=starts,
         per_start_values=tuple(per_start),
+        iterations=sweeps,
+        stop_reason="cap" if capped else "tolerance",
     )
 
 

@@ -27,8 +27,9 @@ identically 0, so the penalty stays fixed there.
 
 lambda_M is the exact ``MeasurementOperator.gram_norm`` for mBP and its
 square for mDS, computed once per operator and shared by every solve and
-estimate on it; mDS applies A*A with ``MeasurementOperator.gram_rows``,
-through the cached matrix ``MeasurementOperator.gram`` when 2m >= n1*n2.
+estimate on it; mDS and the mLASSO gradient G(Z) - A*(y) apply A*A with
+``MeasurementOperator.gram_rows``, through the cached matrix
+``MeasurementOperator.gram`` when 2m >= n1*n2.
 """
 
 from dataclasses import dataclass
@@ -215,6 +216,7 @@ def solve_mlasso(scenario, mu, cfg=None):
         r = y - apply_op(op, x)
         return 0.5 * float(r @ r) + mu * nuclear_norm(x)
 
+    aty = y @ op.flat
     z = np.zeros(op.shape)
     x_prev = z.copy()
     theta = 1.0
@@ -223,7 +225,7 @@ def solve_mlasso(scenario, mu, cfg=None):
     restarted = False
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = -adjoint(op, y - apply_op(op, z))
+        grad = (op.gram_rows(z.reshape(-1)) - aty).reshape(op.shape)
         x = prox_nuclear(z - step * grad, step * mu)
         f_x = objective(x)
         if f_x > f_prev + 1e-14 * max(1.0, abs(f_prev)):  # adaptive restart

@@ -11,9 +11,10 @@ from nucrec.cmsv import (
     mric_upper_bound,
     project_htau,
 )
-from nucrec.ensembles import EnsembleSpec, draw_operator
+from nucrec.ensembles import EnsembleSpec, derive_seed, draw_operator
 from nucrec.linalg import lstar_rank, numerical_rank
 from nucrec.operators import MeasurementOperator, apply_op, as_matrix
+from nucrec.solvers import SolverConfig
 from oracles import rank1_angle_grid_value, htau_sigma_grid_2d, project_sigma_bisection
 
 
@@ -179,7 +180,7 @@ class TestEstimateCmsv:
 
     def test_stop_reasons(self):
         op = tiny_op(seed=11, n1=3, n2=3, m=20)
-        capped = estimate_cmsv(op, 2.0, "min", starts=4, seed=0, max_iters=5)
+        capped = estimate_cmsv(op, 2.0, "min", starts=4, seed=0, cfg=SolverConfig(max_iters=5))
         assert (capped.iterations, capped.stop_reason) == (5, "cap")
         # orthonormal rows: every feasible point has the same value
         converged = estimate_cmsv(entry_basis_op(3), 2.0, "min", starts=4, seed=0)
@@ -188,7 +189,22 @@ class TestEstimateCmsv:
         assert (zero.iterations, zero.stop_reason, zero.value) == (0, "degenerate", 0.0)
         # estimates from other routines do not come from sweeps
         assert brute_force_cmsv(op, 3.0, "min").stop_reason is None
-        assert estimate_rcsv(op, 1, "min", starts=2).iterations is None
+        # alternating sweeps report the longest start and any start's cap
+        rcsv = estimate_rcsv(op, 1, "min", starts=2)
+        assert rcsv.stop_reason == "tolerance" and 2 <= rcsv.iterations < 40
+        # m < n1*n2: the quotient creeps towards a null-space minimum of 0
+        rcsv_capped = estimate_rcsv(tiny_op(seed=0, n1=4, n2=4, m=10), 2, "min", starts=2)
+        assert (rcsv_capped.iterations, rcsv_capped.stop_reason) == (40, "cap")
+
+    def test_converges_within_default_budget(self):
+        # criterion 10's Gaussian 8x8 operators at m=64, where lambda_max is
+        # far above rho_min^2 and the fixed step alone creeps
+        for t in range(3):
+            s = derive_seed(1000, t)
+            op = draw_operator(EnsembleSpec("gaussian", 8, 8, 64, seed=s, normalize=True))
+            for direction in ("min", "max"):
+                est = estimate_cmsv(op, 2.0, direction, starts=8, seed=derive_seed(s, 1))
+                assert est.stop_reason == "tolerance" and est.iterations < 300
 
     def test_bad_args(self):
         op = tiny_op(seed=9)
