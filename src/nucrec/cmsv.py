@@ -181,7 +181,8 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None):
     its theta to 1 (function-value restart).  The starts are ranked, and
     ``per_start_values`` reported, by ||A(X)|| from ``op.flat`` after the
     last sweep.  Stop reasons: no per-start value moved by more than
-    ``cfg.rel_tol`` ('tolerance'), min(cfg.max_iters, 300) sweeps ran
+    ``cfg.rel_tol`` relative or 1e-8*sqrt(``op.gram_norm``), the accuracy of
+    the values, absolute ('tolerance'), min(cfg.max_iters, 300) sweeps ran
     ('cap'), or the operator is zero ('degenerate').  Ties across starts
     resolve to the lowest start index.
     """
@@ -210,6 +211,7 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None):
     if lam > 0.0:
         stop_reason = "cap"
         step = 1.0 / (2.0 * lam)
+        floor = 1e-8 * np.sqrt(lam)  # the accuracy of the values from _gram_values
         gx, vals = _gram_values(op, x)
         x_prev, g_prev = x, gx
         theta = np.ones(starts)
@@ -224,7 +226,7 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None):
                 x_new[worse] = _step(x[worse], gx[worse], x[worse], sign, step, tau)
                 g_new[worse], new_vals[worse] = _gram_values(op, x_new[worse])
                 theta_next[worse] = 1.0
-            settled = np.all(np.abs(new_vals - vals) <= cfg.rel_tol * np.maximum(vals, 1e-300))
+            settled = np.all(np.abs(new_vals - vals) <= np.maximum(cfg.rel_tol * vals, floor))
             x_prev, g_prev, x, gx, vals, theta = x, gx, x_new, g_new, new_vals, theta_next
             if settled:
                 stop_reason = "tolerance"

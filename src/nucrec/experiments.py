@@ -119,7 +119,7 @@ def _recover_trial(args):
     scn = make_scenario(
         op,
         x,
-        noise_kind=noise.get("kind", "none"),
+        noise_kind=noise["kind"],
         epsilon=noise.get("epsilon", 0.0),
         sigma=noise.get("sigma", 0.0),
         seed=noise_seed,
@@ -434,15 +434,3 @@ RUNNERS = {
     "noise-calibration": run_noise_calibration,
 }
 
-# Top-level sections each runner reads besides those every kind takes; the
-# CLI rejects any other section.  Of the estimation keys, m_sweep and
-# epsilon_band are read by the montecarlo runner alone (_m_sweep, _epsilon_band).
-COMMON_SECTIONS = ("kind", "ensemble", "trials", "seed", "output_path")
-SECTIONS_READ = {
-    "recover": ("signal", "noise", "algorithm", "solver"),
-    "cmsv": ("estimation", "solver"),
-    "montecarlo": ("estimation", "solver"),
-    "bounds": ("signal", "epsilon_grid", "solver"),
-    "noise-calibration": ("noise", "c"),
-}
-MONTECARLO_ONLY_ESTIMATION = ("m_sweep", "epsilon_band")

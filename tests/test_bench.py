@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 from unittest.mock import MagicMock
 
+from nucrec.cli import _check_runnable, load_config
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -26,11 +28,24 @@ def test_oracle_workload_runs_clean():
     assert report["attempted"] > 0
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", REPO_ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", REPO_ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workload_configs_pass_the_cli_checks(tmp_path):
+    # only the oracle workload runs above; a config the CLI rejects would
+    # otherwise show only as a failed invocation of the benchmark
+    (tmp_path / "noise-cal").mkdir()
+    calibration = {"suggested_lambda": 0.01, "suggested_mu": 0.02}  # stands in for noise-cal's output
+    (tmp_path / "noise-cal" / "noise_cal.json").write_text(json.dumps(calibration))
+    for workload, invocations in _load_bench("workloads").WORKLOADS.items():
+        for inv in invocations:
+            path = tmp_path / f"{workload}-{inv.name}.json"
+            path.write_text(json.dumps(inv.make_config(100, tmp_path)))
+            _check_runnable(load_config(str(path)), inv.subcommand)
 
 
 class _Arguments(dict):
@@ -48,7 +63,7 @@ class _Arguments(dict):
 def test_tracer_names_resolve():
     # renaming a timed function or a captured parameter breaks the traced
     # reference round of every workload; this finds it without running one
-    tracer = _load_tracer()
+    tracer = _load_bench("tracer")
     for mod_name, fns in tracer.TIMED.items():
         module = importlib.import_module("nucrec." + mod_name)
         for fn_name in fns:

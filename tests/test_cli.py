@@ -198,14 +198,19 @@ class TestExitCodes:
         ("montecarlo", montecarlo_config(estimation={"tau": 5.0, "m_sweep": [32]}), "estimation.tau"),
         ("recover", recover_config(signal={"r": 5}), "signal.r"),
         ("bounds", bounds_config(signal={"r": 3}), "signal.r"),
+        ("recover", recover_config(noise={"kind": "bounded"}), "noise.epsilon"),
+        ("recover", recover_config(noise={"kind": "gaussian"}), "noise.sigma"),
+        ("noise-cal", {**CLI_CONFIGS["noise-cal"], "noise": {"kind": "bounded", "epsilon": 0.3}}, "noise.kind"),
     ], ids=["recover-signal", "recover-algorithm", "mds-lambda", "mlasso-mu", "bounds-signal",
             "montecarlo-normalize", "cmsv-tau", "cmsv-default-tau", "montecarlo-tau", "recover-rank",
-            "bounds-rank"])
+            "bounds-rank", "bounded-epsilon", "gaussian-sigma", "noise-cal-bounded"])
     def test_config_its_kind_cannot_run(self, tmp_path, capsys, sub, doc, key):
-        # each passes the schema; the missing keys used to crash the runner
-        # with a KeyError (exit 1) after it created the output directory,
-        # montecarlo silently normalized anyway, and a tau or rank above
-        # min(n1, n2) exited 2 only after creating the output directory
+        # the missing keys used to crash the runner with a KeyError (exit 1)
+        # after it created the output directory, montecarlo silently
+        # normalized anyway, a tau or rank above min(n1, n2) exited 2 only
+        # after creating the output directory, and recover's noise without
+        # its epsilon or sigma added zero noise, as noise-cal ran a bounded
+        # noise kind as Gaussian
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main([sub, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -224,14 +229,21 @@ class TestExitCodes:
         ("bounds", bounds_config(noise={"kind": "none"}), "noise"),
         ("noise-cal", {"kind": "noise-calibration", "ensemble": {"kind": "gaussian", "n1": 3, "n2": 3, "m": 10},
                        "solver": {"max_iters": 5}, "trials": 5, "seed": 1}, "solver"),
+        ("recover", recover_config(noise={"kind": "bounded", "epsilon": 0.05, "sigma": 3.0},
+                                   algorithm={"name": "mds", "lambda": 0.1, "epsilon": 0.7, "kappa": 0.2}),
+         "noise.sigma"),
+        ("recover", recover_config(algorithm={"name": "mbp", "epsilon": 0.05, "kappa": 0.2}), "algorithm.kappa"),
+        ("noise-cal", {**CLI_CONFIGS["noise-cal"], "noise": {"kind": "gaussian", "epsilon": 0.3}}, "noise.epsilon"),
     ], ids=["cmsv-epsilon_grid", "cmsv-algorithm", "cmsv-signal", "cmsv-c", "cmsv-m_sweep",
-            "cmsv-epsilon_band", "montecarlo-noise", "recover-estimation", "bounds-noise", "noise-cal-solver"])
+            "cmsv-epsilon_band", "montecarlo-noise", "recover-estimation", "bounds-noise", "noise-cal-solver",
+            "mds-sigma-epsilon-kappa", "mbp-kappa", "noise-cal-epsilon"])
     def test_section_its_kind_never_reads(self, tmp_path, capsys, sub, doc, key):
-        # each passes the schema and used to exit 0 with the section ignored
+        # each used to exit 0 with the key ignored
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main([sub, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-        assert f"{key}: not read by kind" in capsys.readouterr().err
+        parent, _, name = key.rpartition(".")
+        assert f"{parent or 'config'}: unknown key '{name}'" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -206,6 +206,15 @@ class TestEstimateCmsv:
                 est = estimate_cmsv(op, 2.0, direction, starts=8, seed=derive_seed(s, 1))
                 assert est.stop_reason == "tolerance" and est.iterations < 300
 
+    def test_roundoff_level_minimum_stops_on_tolerance(self):
+        # criterion 08's 2x2, m=3 operator: the minimum is 0 (m < n1*n2), and
+        # values below the 1e-8*sigma_max accuracy of the sweeps' norms move
+        # by more than rel_tol times themselves on every sweep
+        op = tiny_op(seed=derive_seed(800, 4), m=3)
+        est = estimate_cmsv(op, 2.0, "min", starts=32, seed=derive_seed(802, 4))
+        assert est.stop_reason == "tolerance" and est.iterations < 300
+        assert est.value <= 1e-8 * np.sqrt(op.gram_norm)
+
     def test_bad_args(self):
         op = tiny_op(seed=9)
         with pytest.raises(ValueError):
