@@ -5,8 +5,9 @@ constraint is vacuous, sampled elsewhere) and the derived
 restricted-isometry-constant bound.
 
 All estimates are one-sided evidence: any feasible witness upper-bounds an
-infimum and lower-bounds a supremum.  Witness feasibility is re-verified on
-every returned estimate.
+infimum and lower-bounds a supremum.  The oracle's exact path is the one
+exception; its estimates say so through ``Estimate.evidence``.  Witness
+feasibility is re-verified on every returned estimate.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ from nucrec.operators import apply_op
 from nucrec.solvers import SolverConfig
 from nucrec.ensembles import derive_seed
 
+ORACLE_MAX_ENTRIES = 9  # the largest n1*n2 brute_force_cmsv accepts
+
 
 @dataclass(frozen=True, kw_only=True)
 class Estimate:
@@ -28,8 +31,9 @@ class Estimate:
     against it on construction.  An estimate from the sweeps of
     :func:`estimate_cmsv` or :func:`estimate_rcsv` reports the most sweeps
     a start ran (``iterations``) and why they stopped (``stop_reason``:
-    'tolerance', 'cap' or 'degenerate'); the brute-force oracle leaves both
-    None.
+    'tolerance', 'cap' or 'degenerate').  The brute-force oracle leaves
+    ``iterations`` None; its exact path, where the constraint is vacuous,
+    sets ``stop_reason`` to 'exact', and its sampling path leaves it None.
     """
 
     tau: float | None = None
@@ -57,8 +61,10 @@ class Estimate:
 
     @property
     def evidence(self):
-        """'upper_bound_on_min' for direction='min', 'lower_bound_on_max'
-        for direction='max'."""
+        """'exact' for an exact value, else 'upper_bound_on_min' for
+        direction='min' and 'lower_bound_on_max' for direction='max'."""
+        if self.stop_reason == "exact":
+            return "exact"
         return "upper_bound_on_min" if self.direction == "min" else "lower_bound_on_max"
 
 
@@ -268,16 +274,17 @@ def _exact_cmsv(op, tau, direction):
         value=value,
         witness=witness,
         starts=1,
+        stop_reason="exact",
     )
 
 
 def brute_force_cmsv(op, tau, direction, samples=100_000, seed=0, refine=True):
-    """Oracle for tiny instances (n1*n2 <= 9 enforced).
+    """Oracle for tiny instances (n1*n2 <= ``ORACLE_MAX_ENTRIES`` enforced).
 
     At tau >= n_min the constraint is vacuous and the value is exact: the
     extreme singular value of the operator matrix, from one SVD, with its
-    right singular vector as witness; ``samples``, ``seed`` and ``refine``
-    are then not used.
+    right singular vector as witness and ``stop_reason`` 'exact';
+    ``samples``, ``seed`` and ``refine`` are then not used.
 
     Below n_min it is a sampling oracle: it evaluates the measurement norm
     over quasi-uniform feasible points and, when ``refine`` is set, over
@@ -289,8 +296,8 @@ def brute_force_cmsv(op, tau, direction, samples=100_000, seed=0, refine=True):
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     n1, n2 = op.shape
-    if n1 * n2 > 9:
-        raise ValueError("brute force limited to n1*n2 <= 9")
+    if n1 * n2 > ORACLE_MAX_ENTRIES:
+        raise ValueError(f"brute force limited to n1*n2 <= {ORACLE_MAX_ENTRIES}")
     if samples < 10_000:
         raise ValueError("samples must be >= 10000")
     if tau >= min(n1, n2):

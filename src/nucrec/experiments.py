@@ -5,6 +5,9 @@ it executes seeded trials (optionally in parallel over a worker pool) and
 writes plot-ready CSV plus a JSON summary.  Outputs are deterministic
 functions of (config, seed): per-trial seeds are derived from the master seed
 and the trial index, and aggregation is an ordered reduction by trial index.
+A run with a solve that did not converge writes both files, then raises
+:class:`SolverDidNotConverge`.  Every bound verdict, in ``recover`` and in
+the bounds ledger, comes from :func:`nucrec.bounds.verify_bound`.
 """
 
 import csv
@@ -19,11 +22,10 @@ from nucrec.linalg import frobenius_norm, numerical_rank
 from nucrec.operators import make_scenario
 from nucrec.ensembles import EnsembleSpec, draw_operator, draw_low_rank_signal, derive_seed
 from nucrec.solvers import SolverConfig, solve_mbp, solve_mds, solve_mlasso
-from nucrec.cmsv import estimate_cmsv, brute_force_cmsv, estimate_rcsv, mric_upper_bound
+from nucrec.cmsv import ORACLE_MAX_ENTRIES, estimate_cmsv, brute_force_cmsv
 from nucrec.bounds import (
     verify_bound,
     noise_operator_bound,
-    bound_mbp,
     bound_mbp_mric,
     expected_subscript,
     BoundInapplicable,
@@ -85,7 +87,8 @@ def _run(config, out_dir, jobs, formats, stem, columns, trial, summarize, args=N
     it returns in trial order, then write ``<stem>.csv`` (the ``columns`` of
     every row) and ``<stem>.json`` (the meta fields plus
     ``summarize(config, rows)``).  ``trial`` is module-level so that a
-    worker pool can pickle it.
+    worker pool can pickle it.  Once both files are written, any row whose
+    ``converged`` is False raises :class:`SolverDidNotConverge`.
     """
     if args is None:
         args = [(config, t) for t in range(config["trials"])]
@@ -98,6 +101,9 @@ def _run(config, out_dir, jobs, formats, stem, columns, trial, summarize, args=N
     summary = {**meta, **summarize(config, rows)}
     if "json" in formats:
         _write_json(out / f"{stem}.json", summary)
+    failed = sum(not row.get("converged", True) for row in rows)
+    if failed:
+        raise SolverDidNotConverge(f"{failed} of {len(rows)} solves did not converge")
     return summary
 
 
@@ -143,7 +149,7 @@ def _recover_trial(args):
     rel_err = realized / max(frobenius_norm(x), 1e-300)
 
     report = None
-    if spec.n1 * spec.n2 <= 9:
+    if spec.n1 * spec.n2 <= ORACLE_MAX_ENTRIES:
         r = max(1, numerical_rank(x))
         tau = expected_subscript(name, r, params.get("kappa", 0.0), min(spec.n1, spec.n2))
         rho = brute_force_cmsv(op, tau, "min", seed=derive_seed(seed, trial * 4 + 3))
@@ -198,11 +204,7 @@ def _recover_summary(config, rows):
 
 
 def run_recover(config, out_dir, jobs=1, formats=("csv", "json")):
-    summary = _run(config, out_dir, jobs, formats, "recover", RECOVER_COLUMNS, _recover_trial, _recover_summary)
-    failed = summary["trials"] - summary["converged"]
-    if failed:
-        raise SolverDidNotConverge(f"{failed} of {summary['trials']} trials did not converge")
-    return summary
+    return _run(config, out_dir, jobs, formats, "recover", RECOVER_COLUMNS, _recover_trial, _recover_summary)
 
 
 # --- cmsv ------------------------------------------------------------------
@@ -304,6 +306,7 @@ def run_montecarlo_cmsv(config, out_dir, jobs=1, formats=("csv", "json")):
 LEDGER_COLUMNS = (
     "epsilon",
     "trial",
+    "converged",
     "realized_error",
     "cmsv_bound",
     "cmsv_holds",
@@ -317,24 +320,23 @@ EPSILON_GRID = (0.0, 0.05, 0.1, 0.2)
 
 
 def _bounds_trial(args):
-    """One operator and signal; one ledger row per epsilon, in grid order."""
+    """One operator and signal; one ledger row per epsilon, in grid order.
+    At oracle size n_min <= 3 < 4r, so both constraints are vacuous: rho is
+    the exact sigma_min and delta_hat follows from it and ``op.gram_norm``.
+    """
     config, trial = args
     e = config["ensemble"]
     seed = config["seed"]
     sig = config["signal"]
     cfg = _solver_config(config)
-    n_min = min(e["n1"], e["n2"])
     r = sig["r"]
-    tau_rho = min(8.0 * r, float(n_min))
-    r4 = min(4 * r, n_min)
+    tau = expected_subscript("mbp", r, 0.0, min(e["n1"], e["n2"]))
 
     spec = _ensemble_spec(config, derive_seed(seed, trial * 8))
     op = draw_operator(spec)
     x = draw_low_rank_signal(e["n1"], e["n2"], r, sig.get("scale", 1.0), derive_seed(seed, trial * 8 + 1))
-    rho = brute_force_cmsv(op, tau_rho, "min", seed=derive_seed(seed, trial * 8 + 2))
-    nu_lo = estimate_rcsv(op, r4, "min", starts=8, seed=derive_seed(seed, trial * 8 + 3))
-    nu_hi = estimate_rcsv(op, r4, "max", starts=8, seed=derive_seed(seed, trial * 8 + 4))
-    delta_hat = mric_upper_bound(nu_lo.value, nu_hi.value)
+    rho = brute_force_cmsv(op, tau, "min", seed=derive_seed(seed, trial * 8 + 2))
+    delta_hat = max(abs(1.0 - rho.value**2), abs(op.gram_norm - 1.0))
     rows = []
     for eps in config.get("epsilon_grid", EPSILON_GRID):
         scn = make_scenario(
@@ -344,10 +346,8 @@ def _bounds_trial(args):
         res = solve_mbp(scn, eps, cfg)
         realized = frobenius_norm(np.asarray(res.x_hat) - x)
         try:
-            cmsv_bound = bound_mbp(eps, rho.value)
-            # (2 eps + 10 abs_tol) / rho: the bound at the feasibility
-            # level solve_mbp certifies, ||y - A(x_hat)|| <= eps + 10 abs_tol
-            cmsv_holds = realized <= cmsv_bound + 10 * cfg.abs_tol / rho.value
+            report = verify_bound(scn, res, "mbp", {"epsilon": eps}, rho)
+            cmsv_bound, cmsv_holds = report.bound_value, report.holds
         except BoundInapplicable:
             cmsv_bound, cmsv_holds = "", ""
         try:
@@ -358,6 +358,7 @@ def _bounds_trial(args):
             {
                 "epsilon": eps,
                 "trial": trial,
+                "converged": res.converged,
                 "realized_error": realized,
                 "cmsv_bound": cmsv_bound,
                 "cmsv_holds": cmsv_holds,
@@ -377,11 +378,12 @@ def _bounds_summary(config, rows):
 
 def run_bounds_ledger(config, out_dir, jobs=1, formats=("csv", "json")):
     """Realized mBP error versus both bound families on an oracle-sized
-    instance, over a grid of bounded-noise levels; one trial per operator.
+    instance, over a grid of bounded-noise levels; one trial per operator,
+    with exact rho and delta_hat (see :func:`_bounds_trial`).
     """
     e = config["ensemble"]
-    if e["n1"] * e["n2"] > 9:
-        raise ValueError("bounds ledger requires an oracle-sized instance (n1*n2 <= 9)")
+    if e["n1"] * e["n2"] > ORACLE_MAX_ENTRIES:
+        raise ValueError(f"bounds ledger requires an oracle-sized instance (n1*n2 <= {ORACLE_MAX_ENTRIES})")
     return _run(config, out_dir, jobs, formats, "bounds", LEDGER_COLUMNS, _bounds_trial, _bounds_summary)
 
 

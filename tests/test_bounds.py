@@ -14,10 +14,11 @@ from nucrec.bounds import (
     noise_operator_bound,
     verify_bound,
 )
-from nucrec.cmsv import estimate_cmsv, estimate_rcsv
+from nucrec.cmsv import brute_force_cmsv, estimate_cmsv, estimate_rcsv
 from nucrec.ensembles import EnsembleSpec, draw_operator, draw_low_rank_signal
-from nucrec.operators import make_scenario
-from nucrec.solvers import solve_mbp
+from nucrec.linalg import operator_norm
+from nucrec.operators import adjoint, apply_op, make_scenario
+from nucrec.solvers import solve_mbp, solve_mds
 
 SQRT2 = math.sqrt(2.0)
 
@@ -117,6 +118,30 @@ class TestVerifyBound:
         )
         assert rep.rho_onesided
         assert rep.cone_check["tau_limit"] == pytest.approx(8.0)
+
+    def test_holds_at_the_level_reached(self):
+        # bound_value stays nominal; holds uses the mean of the nominal level
+        # and the level the result reached, for both constrained programs
+        op, y = self.op, self.scn.y
+        res = solve_mbp(self.scn, 0.05)
+        rep = verify_bound(self.scn, res, "mbp", {"epsilon": 0.05}, self.rho(2.0))
+        reached = np.linalg.norm(y - apply_op(op, res.x_hat))
+        rho = self.rho(2.0).value
+        assert rep.bound_value == pytest.approx(0.1 / rho)
+        assert rep.holds == (rep.realized_error <= (0.05 + max(0.05, reached)) / rho)
+        res = solve_mds(self.scn, 0.02)
+        rep = verify_bound(self.scn, res, "mds", {"lambda": 0.02}, self.rho(2.0))
+        lam = 0.5 * (0.02 + max(0.02, operator_norm(adjoint(op, y - apply_op(op, res.x_hat)))))
+        assert rep.bound_value == pytest.approx(bound_mds(1, 0.02, rho))
+        assert rep.holds == (rep.realized_error <= bound_mds(1, lam, rho))
+
+    def test_rho_onesided_follows_the_estimate(self):
+        res = solve_mbp(self.scn, 0.05)
+        exact = brute_force_cmsv(self.op, 2.0, "min")
+        rep = verify_bound(self.scn, res, "mbp", {"epsilon": 0.05}, exact)
+        assert not rep.rho_onesided
+        assert rep.holds
+        assert verify_bound(self.scn, res, "mbp", {"epsilon": 0.05}, self.rho(2.0)).rho_onesided
 
     def test_subscript_mismatch_raises(self):
         res = solve_mbp(self.scn, 0.05)

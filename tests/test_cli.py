@@ -6,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nucrec import experiments
 from nucrec.cli import EXIT_CONFIG, EXIT_IO, EXIT_NONCONVERGED, EXIT_OK, _check_runnable, main
+from nucrec.cmsv import brute_force_cmsv
 from nucrec.config_schema import validate
+from nucrec.ensembles import draw_operator
 from nucrec.experiments import config_hash
 from test_acceptance import CLI_CONFIGS
 
@@ -381,7 +385,8 @@ class TestRunners:
             "seed": 5,
         }
         cfg = write_config(tmp_path, doc, name="bounds.json")
-        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+        # the epsilon = 0 solve stops at the iteration cap
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_NONCONVERGED
         rows = json.loads((tmp_path / "b" / "bounds.json").read_text())["rows"]
         assert all(row["rho_hat"] <= 1e-12 for row in rows)
 
@@ -402,12 +407,93 @@ class TestRunners:
             "seed": 5,
         }
         cfg = write_config(tmp_path, doc, name="bounds.json")
-        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+        # the epsilon = 0 solve stops at the iteration cap
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_NONCONVERGED
         rows = read_csv_rows(tmp_path / "b" / "bounds.csv")
         assert [row["epsilon"] for row in rows] == ["0.0", "0.05"]
         for row in rows:
             assert float(row["rho_hat"]) == 0.0
             assert row["cmsv_bound"] == "" and row["cmsv_holds"] == ""
+
+    def test_noiseless_recover_rows_hold(self, tmp_path):
+        # epsilon = 0: the nominal bound is 0 and the realized error is at the
+        # solver tolerance, so only the bound at the level reached can hold
+        doc = recover_config(
+            ensemble={"kind": "gaussian", "n1": 3, "n2": 3, "m": 12, "normalize": True},
+            noise={"kind": "none"}, algorithm={"name": "mbp"}, trials=4, seed=100,
+        )
+        cfg = write_config(tmp_path, doc)
+        assert main(["recover", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        rows = json.loads((tmp_path / "o" / "recover.json").read_text())["rows"]
+        assert [row["bound_value"] for row in rows] == [0.0] * 4
+        assert all(row["holds"] is True for row in rows)
+
+    def test_capped_ledger_solve_exits_nonconverged(self, tmp_path):
+        # the epsilon = 0 solve on this ill-conditioned operator stops at the
+        # iteration cap; both files are still written
+        doc = bounds_config(
+            ensemble={"kind": "gaussian", "n1": 3, "n2": 3, "m": 9, "normalize": True}, seed=108
+        )
+        del doc["epsilon_grid"]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_NONCONVERGED
+        rows = json.loads((out / "bounds.json").read_text())["rows"]
+        assert [(row["epsilon"], row["converged"]) for row in rows] == [
+            (0.0, False), (0.05, True), (0.1, True), (0.2, True)
+        ]
+        assert [row["converged"] for row in read_csv_rows(out / "bounds.csv")] == ["False", "True", "True", "True"]
+
+    @pytest.mark.parametrize("m", [6, 9, 20])
+    def test_ledger_delta_is_exact(self, tmp_path, monkeypatch, m):
+        # n_min <= 3 < 4r: the rank constraint is vacuous, so delta comes
+        # from the extreme singular values (sigma_min = 0 when m < n1*n2)
+        ops, rhos = [], []
+        monkeypatch.setattr(experiments, "draw_operator", lambda spec: ops.append(draw_operator(spec)) or ops[-1])
+        monkeypatch.setattr(
+            experiments, "brute_force_cmsv", lambda *a, **k: rhos.append(brute_force_cmsv(*a, **k)) or rhos[-1]
+        )
+        # one exact rho per trial is all the ledger estimates
+        monkeypatch.setattr(experiments, "estimate_rcsv", None, raising=False)
+        doc = bounds_config(
+            ensemble={"kind": "gaussian", "n1": 3, "n2": 3, "m": m, "normalize": True},
+            epsilon_grid=[0.1], trials=3, seed=11,
+        )
+        rows = experiments.run_bounds_ledger(doc, tmp_path, formats=("json",))["rows"]
+        assert len(ops) == len(rhos) == len(rows) == 3
+        assert all(rho.evidence == "exact" for rho in rhos)
+        for op, row in zip(ops, rows):
+            s = np.linalg.svd(op.flat, compute_uv=False)
+            smin = s[-1] if m >= 9 else 0.0
+            delta = max(abs(1.0 - smin**2), abs(s[0] ** 2 - 1.0))
+            assert row["delta_hat"] == pytest.approx(delta, rel=1e-12, abs=0.0)
+            assert row["rho_hat"] == pytest.approx(smin, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_exact_rho_bound_holds_on_converged_rows(self, tmp_path, seed):
+        # an exact rho, a converged mBP solve and ||w|| <= epsilon: the bound
+        # at the level reached holds on every recover and ledger row
+        ensemble = {"kind": "gaussian", "n1": 3, "n2": 3, "m": 12, "normalize": True}
+        checked = 0
+        for i, noise in enumerate([{"kind": "bounded", "epsilon": 0.05}, {"kind": "none"}]):
+            doc = recover_config(ensemble=ensemble, noise=noise, algorithm={"name": "mbp"}, trials=2, seed=seed)
+            out = tmp_path / f"r{i}"
+            assert main(["recover", "--config", write_config(tmp_path, doc), "--out", str(out)]) in (
+                EXIT_OK, EXIT_NONCONVERGED
+            )
+            rows = json.loads((out / "recover.json").read_text())["rows"]
+            for row in rows:
+                assert row["holds"] is True or not row["converged"]
+                checked += row["converged"]
+        doc = bounds_config(ensemble={**ensemble, "m": 20}, epsilon_grid=[0.0, 0.05, 0.2], seed=seed)
+        out = tmp_path / "b"
+        assert main(["bounds", "--config", write_config(tmp_path, doc), "--out", str(out)]) in (
+            EXIT_OK, EXIT_NONCONVERGED
+        )
+        for row in json.loads((out / "bounds.json").read_text())["rows"]:
+            assert row["cmsv_holds"] is True or not row["converged"]
+            checked += row["converged"]
+        assert checked >= 6
 
     def test_bounds_ledger_rejects_large_instance(self, tmp_path):
         doc = {

@@ -187,8 +187,10 @@ class TestEstimateCmsv:
         assert converged.stop_reason == "tolerance" and 1 <= converged.iterations < 300
         zero = estimate_cmsv(MeasurementOperator(np.zeros((4, 2, 2))), 1.5, "min", starts=3)
         assert (zero.iterations, zero.stop_reason, zero.value) == (0, "degenerate", 0.0)
-        # estimates from other routines do not come from sweeps
-        assert brute_force_cmsv(op, 3.0, "min").stop_reason is None
+        # the oracle runs no sweeps: its exact path says so, its sampling path is silent
+        assert brute_force_cmsv(op, 3.0, "min").stop_reason == "exact"
+        sampled = brute_force_cmsv(op, 2.0, "min", samples=10_000, refine=False)
+        assert (sampled.stop_reason, sampled.evidence) == (None, "upper_bound_on_min")
         # alternating sweeps report the longest start and any start's cap
         rcsv = estimate_rcsv(op, 1, "min", starts=2)
         assert rcsv.stop_reason == "tolerance" and 2 <= rcsv.iterations < 40
@@ -291,7 +293,7 @@ class TestBruteForceExact:
     def test_witness_unit_and_feasible(self, direction):
         op = tiny_op(seed=22, n1=3, n2=3, m=12)
         est = brute_force_cmsv(op, 3.0, direction)
-        assert est.evidence == ("upper_bound_on_min" if direction == "min" else "lower_bound_on_max")
+        assert (est.evidence, est.stop_reason) == ("exact", "exact")
         assert np.linalg.norm(est.witness) == pytest.approx(1.0, abs=1e-12)
         assert lstar_rank(est.witness) <= 3.0 * (1 + 1e-9)
         assert est.value == np.linalg.norm(apply_op(op, est.witness))
