@@ -22,7 +22,6 @@ from nucrec.linalg import (
 )
 from nucrec.operators import (
     MeasurementOperator,
-    NoiseSpec,
     MeasurementScenario,
     apply_op,
     adjoint,
@@ -61,7 +60,6 @@ from nucrec.bounds import (
     bound_mlasso,
     lasso_subscript,
     bound_mbp_mric,
-    bound_mds_mric,
     verify_bound,
     noise_operator_bound,
 )

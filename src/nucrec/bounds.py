@@ -81,19 +81,6 @@ def bound_mbp_mric(epsilon, delta_4r):
     return 4.0 * math.sqrt(1.0 + delta_4r) / (1.0 - (1.0 + SQRT2) * delta_4r) * epsilon
 
 
-def bound_mds_mric(r, lam, delta_4r):
-    """Restricted-isometry Dantzig Selector bound, valid for delta_4r < sqrt(2)-1."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if delta_4r < 0:
-        raise ValueError("delta must be nonnegative")
-    if delta_4r >= SQRT2 - 1.0:
-        raise BoundInapplicable("requires delta_4r < sqrt(2) - 1")
-    return 16.0 / (1.0 - (SQRT2 + 1.0) * delta_4r) * math.sqrt(r) * lam
-
-
 @dataclass
 class BoundReport:
     """Realized error versus the matching closed-form bound for one solve.
@@ -108,7 +95,6 @@ class BoundReport:
     algorithm: str
     realized_error: float
     bound_value: float
-    bound_inputs: dict
     holds: bool
     slack_ratio: float
     cone_check: dict
@@ -186,13 +172,6 @@ def verify_bound(scenario, result, algorithm, params, rho_estimate):
         algorithm=algorithm,
         realized_error=realized,
         bound_value=bound,
-        bound_inputs={
-            "r": r,
-            "noise_param": noise_param,
-            "kappa": kappa,
-            "rho_estimate": rho,
-            "rho_subscript": expected_tau,
-        },
         holds=realized <= bound_reached,
         slack_ratio=bound / max(realized, 1e-12),
         cone_check={"tau_H": tau_h, "tau_limit": tau_limit, "satisfied": cone_ok},

@@ -66,9 +66,10 @@ def load_config(path):
 
 def _check_runnable(config, command):
     """Raise ConfigError for a config that SCHEMA accepts but ``command``
-    cannot run: one of another kind, or one whose ``estimation.tau``
-    (default ``DEFAULT_TAU``) or ``signal.r`` exceeds min(n1, n2), a
-    comparison across fields that the schema does not make."""
+    cannot run or would partly ignore: one of another kind, one whose
+    ``estimation.tau`` (default ``DEFAULT_TAU``) or ``signal.r`` exceeds
+    min(n1, n2), or an mlasso config with ``solver.admm_rho``, which FISTA
+    does not read; comparisons across fields that the schema does not make."""
     kind = config["kind"]
     if kind != _SUBCOMMAND_KIND[command]:
         raise ConfigError(f"config kind {kind!r} does not match subcommand {command!r}")
@@ -78,6 +79,8 @@ def _check_runnable(config, command):
         raise ConfigError(f"estimation.tau: {tau!r} exceeds min(n1, n2) = {n_min}")
     if "signal" in config and config["signal"]["r"] > n_min:
         raise ConfigError(f"signal.r: {config['signal']['r']!r} exceeds min(n1, n2) = {n_min}")
+    if config.get("algorithm", {}).get("name") == "mlasso" and "admm_rho" in config.get("solver", {}):
+        raise ConfigError("solver: unknown key 'admm_rho'")
 
 
 def main(argv=None):

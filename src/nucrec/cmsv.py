@@ -16,10 +16,13 @@ import numpy as np
 
 from nucrec.linalg import lstar_rank, numerical_rank
 from nucrec.operators import apply_op
-from nucrec.solvers import SolverConfig
 from nucrec.ensembles import derive_seed
 
 ORACLE_MAX_ENTRIES = 9  # the largest n1*n2 brute_force_cmsv accepts
+# estimate_cmsv's stop rule: the relative settling tolerance of a value, and
+# the sweep budget (Monte Carlo callers run many estimates)
+REL_TOL = 1e-6
+MAX_SWEEPS = 300
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -41,7 +44,6 @@ class Estimate:
     direction: str
     value: float
     witness: np.ndarray
-    starts: int
     per_start_values: tuple = ()
     iterations: int | None = None
     stop_reason: str | None = None
@@ -172,7 +174,7 @@ def _step(y, gy, x, sign, step, tau):
     return retract(stepped, tau)
 
 
-def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None):
+def estimate_cmsv(op, tau, direction, starts=32, seed=0):
     """Multi-start accelerated projected gradient estimate of the constrained
     extremal singular value.
 
@@ -187,21 +189,19 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None):
     its theta to 1 (function-value restart).  The starts are ranked, and
     ``per_start_values`` reported, by ||A(X)|| from ``op.flat`` after the
     last sweep.  Stop reasons: no per-start value moved by more than
-    ``cfg.rel_tol`` relative or 1e-8*sqrt(``op.gram_norm``), the accuracy of
-    the values, absolute ('tolerance'), min(cfg.max_iters, 300) sweeps ran
-    ('cap'), or the operator is zero ('degenerate').  Ties across starts
-    resolve to the lowest start index.
+    ``REL_TOL`` relative or 1e-8*sqrt(``op.gram_norm``), the accuracy of the
+    values, absolute ('tolerance'), ``MAX_SWEEPS`` sweeps ran ('cap'), or the
+    operator is zero ('degenerate').  Ties across starts resolve to the
+    lowest start index.
     """
     _check_tau(op.shape, tau)
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    cfg = cfg or SolverConfig()
     lam = op.gram_norm
     n1, n2 = op.shape
     sign = -1.0 if direction == "min" else 1.0
-    max_iters = min(cfg.max_iters, 300)  # Monte Carlo callers run many estimates
 
     # starts run in lockstep as one batch; updates are independent per start
     x0 = np.stack(
@@ -221,7 +221,7 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None):
         gx, vals = _gram_values(op, x)
         x_prev, g_prev = x, gx
         theta = np.ones(starts)
-        for iterations in range(1, max_iters + 1):
+        for iterations in range(1, MAX_SWEEPS + 1):
             theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
             beta = ((theta - 1.0) / theta_next)[:, None]
             y = x + beta[:, :, None] * (x - x_prev)
@@ -232,7 +232,7 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None):
                 x_new[worse] = _step(x[worse], gx[worse], x[worse], sign, step, tau)
                 g_new[worse], new_vals[worse] = _gram_values(op, x_new[worse])
                 theta_next[worse] = 1.0
-            settled = np.all(np.abs(new_vals - vals) <= np.maximum(cfg.rel_tol * vals, floor))
+            settled = np.all(np.abs(new_vals - vals) <= np.maximum(REL_TOL * vals, floor))
             x_prev, g_prev, x, gx, vals, theta = x, gx, x_new, g_new, new_vals, theta_next
             if settled:
                 stop_reason = "tolerance"
@@ -246,7 +246,6 @@ def estimate_cmsv(op, tau, direction, starts=32, seed=0, cfg=None):
         direction=direction,
         value=value,
         witness=witness,
-        starts=starts,
         per_start_values=tuple(float(v) for v in vals),
         iterations=iterations,
         stop_reason=stop_reason,
@@ -273,7 +272,6 @@ def _exact_cmsv(op, tau, direction):
         direction=direction,
         value=value,
         witness=witness,
-        starts=1,
         stop_reason="exact",
     )
 
@@ -345,7 +343,6 @@ def brute_force_cmsv(op, tau, direction, samples=100_000, seed=0, refine=True):
         direction=direction,
         value=value,
         witness=witness,
-        starts=samples,
     )
 
 
@@ -430,7 +427,6 @@ def estimate_rcsv(op, r, direction, starts=8, seed=0):
         direction=direction,
         value=value,
         witness=witness,
-        starts=starts,
         per_start_values=tuple(per_start),
         iterations=sweeps,
         stop_reason="cap" if capped else "tolerance",

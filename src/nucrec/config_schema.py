@@ -32,7 +32,8 @@ _ENSEMBLE = {"kind": {"enum": ["gaussian", "rademacher"]}, "n1": _COUNT, "n2": _
              "normalize": {"type": "boolean"}}
 ENSEMBLE = _closed(_ENSEMBLE, ["kind", "n1", "n2", "m"])
 SIGNAL = _closed({"r": _COUNT, "scale": _POSITIVE}, ["r"])
-SOLVER = _closed({"max_iters": _COUNT, "abs_tol": _POSITIVE, "rel_tol": _POSITIVE, "admm_rho": _POSITIVE})
+# The fields of solvers.SolverConfig; cli._check_runnable rejects admm_rho for mlasso.
+SOLVER = _closed({"max_iters": _COUNT, "abs_tol": _POSITIVE, "admm_rho": _POSITIVE})
 _ESTIMATION = {"tau": {"type": "number", "minimum": 1}, "starts": _COUNT}
 # The top-level keys every kind takes, and those it must hold.
 COMMON = {"ensemble": ENSEMBLE, "trials": _COUNT, "seed": {"type": "integer", "minimum": 0},
@@ -60,7 +61,7 @@ SCHEMA = {
             }),
             "solver": SOLVER,
         }, [*_REQUIRED, "signal", "algorithm"]),
-        "cmsv": ({**COMMON, "estimation": _closed(_ESTIMATION), "solver": SOLVER}, _REQUIRED),
+        "cmsv": ({**COMMON, "estimation": _closed(_ESTIMATION)}, _REQUIRED),
         "montecarlo": ({
             **COMMON,
             # the runner always draws the normalized operator A/sqrt(m)
@@ -71,7 +72,6 @@ SCHEMA = {
                 "m_sweep": {"type": "array", "items": _COUNT, "minItems": 1},
                 "epsilon_band": _POSITIVE,
             }),
-            "solver": SOLVER,
         }, _REQUIRED),
         "bounds": ({
             **COMMON,

@@ -152,7 +152,7 @@ def _recover_trial(args):
     if spec.n1 * spec.n2 <= ORACLE_MAX_ENTRIES:
         r = max(1, numerical_rank(x))
         tau = expected_subscript(name, r, params.get("kappa", 0.0), min(spec.n1, spec.n2))
-        rho = brute_force_cmsv(op, tau, "min", seed=derive_seed(seed, trial * 4 + 3))
+        rho = brute_force_cmsv(op, tau, "min")
         try:
             report = verify_bound(scn, res, name, params, rho)
         except BoundInapplicable:
@@ -218,9 +218,8 @@ def _cmsv_trial(args):
     op = draw_operator(spec)
     tau = est.get("tau", DEFAULT_TAU)
     starts = est.get("starts", 32)
-    cfg = _solver_config(config)
-    lo = estimate_cmsv(op, tau, "min", starts=starts, seed=derive_seed(seed, trial * 2 + 1), cfg=cfg)
-    hi = estimate_cmsv(op, tau, "max", starts=starts, seed=derive_seed(seed, trial * 2 + 1), cfg=cfg)
+    lo = estimate_cmsv(op, tau, "min", starts=starts, seed=derive_seed(seed, trial * 2 + 1))
+    hi = estimate_cmsv(op, tau, "max", starts=starts, seed=derive_seed(seed, trial * 2 + 1))
     return [{"trial": trial, "tau": tau, "rho_min": lo.value, "rho_max": hi.value}]
 
 
@@ -261,10 +260,9 @@ def _montecarlo_trial(args):
     # normalized operator A/sqrt(m) regardless of the ensemble's own flag
     spec = _ensemble_spec(config, derive_seed(seed, m * 100_003 + trial * 2), m=m, normalize=True)
     op = draw_operator(spec)
-    cfg = _solver_config(config)
     est_seed = derive_seed(seed, m * 100_003 + trial * 2 + 1)
-    lo = estimate_cmsv(op, tau, "min", starts=starts, seed=est_seed, cfg=cfg)
-    hi = estimate_cmsv(op, tau, "max", starts=starts, seed=est_seed, cfg=cfg)
+    lo = estimate_cmsv(op, tau, "min", starts=starts, seed=est_seed)
+    hi = estimate_cmsv(op, tau, "max", starts=starts, seed=est_seed)
     band = _epsilon_band(config)
     in_band = bool(1.0 - band <= lo.value and hi.value <= 1.0 + band)
     return [{"m": m, "trial": trial, "rho_min": lo.value, "rho_max": hi.value, "in_band": in_band}]
@@ -335,7 +333,7 @@ def _bounds_trial(args):
     spec = _ensemble_spec(config, derive_seed(seed, trial * 8))
     op = draw_operator(spec)
     x = draw_low_rank_signal(e["n1"], e["n2"], r, sig.get("scale", 1.0), derive_seed(seed, trial * 8 + 1))
-    rho = brute_force_cmsv(op, tau, "min", seed=derive_seed(seed, trial * 8 + 2))
+    rho = brute_force_cmsv(op, tau, "min")
     delta_hat = max(abs(1.0 - rho.value**2), abs(op.gram_norm - 1.0))
     rows = []
     for eps in config.get("epsilon_grid", EPSILON_GRID):

@@ -69,37 +69,12 @@ class MeasurementOperator:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Noise model plus the realized noise vector.
-
-    kind is one of 'none', 'bounded' (with ``epsilon``), 'gaussian' (with
-    ``sigma`` and ``seed``).  ``realized_w`` records the draw actually added
-    to the measurements.
-    """
-
-    kind: str
-    realized_w: np.ndarray
-    epsilon: float = 0.0
-    sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "bounded", "gaussian"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        w = np.asarray(self.realized_w, dtype=float).copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "realized_w", w)
-        if self.kind == "bounded" and np.linalg.norm(w) > self.epsilon * (1 + 1e-12) + 1e-15:
-            raise ValueError("bounded noise realization exceeds epsilon")
-
-
-@dataclass(frozen=True)
 class MeasurementScenario:
-    """Operator, true signal, noise model, and the observed vector y."""
+    """Operator, true signal, and the observed vector y; the realized noise
+    is y - apply_op(operator, x_true)."""
 
     operator: MeasurementOperator
     x_true: np.ndarray
-    noise: NoiseSpec
     y: np.ndarray
 
 
@@ -144,28 +119,28 @@ def make_scenario(op, x_true, noise_kind="none", epsilon=0.0, sigma=0.0, seed=0)
     """Assemble a scenario with y = apply(op, x_true) + w.
 
     For 'bounded' noise, w is a seeded draw on the epsilon-sphere; for
-    'gaussian', w ~ N(0, sigma^2 I).  Both draws come from ``seed``.
+    'gaussian', w ~ N(0, sigma^2 I).  Both draws come from ``seed``.  A
+    bounded draw of norm above epsilon (a negative epsilon) raises ValueError.
     """
     x_true = _check_shape(op, x_true)
     clean = apply_op(op, x_true)
     if noise_kind == "none":
         w = np.zeros(op.m)
-        noise = NoiseSpec(kind="none", realized_w=w)
     elif noise_kind == "bounded":
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         w = rng.standard_normal(op.m)
         nrm = np.linalg.norm(w)
         w = w * (epsilon / nrm) if nrm > 0 else w
-        noise = NoiseSpec(kind="bounded", realized_w=w, epsilon=float(epsilon), seed=int(seed))
+        if np.linalg.norm(w) > epsilon * (1 + 1e-12) + 1e-15:
+            raise ValueError("bounded noise realization exceeds epsilon")
     elif noise_kind == "gaussian":
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         w = sigma * rng.standard_normal(op.m)
-        noise = NoiseSpec(kind="gaussian", realized_w=w, sigma=float(sigma), seed=int(seed))
     else:
         raise ValueError(f"unknown noise kind {noise_kind!r}")
-    y = clean + noise.realized_w
+    y = clean + w
     y.setflags(write=False)
     xt = x_true.copy()
     xt.setflags(write=False)
-    return MeasurementScenario(operator=op, x_true=xt, noise=noise, y=y)
+    return MeasurementScenario(operator=op, x_true=xt, y=y)
 

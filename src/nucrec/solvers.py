@@ -15,7 +15,9 @@ A*(y).  The penalized program uses FISTA with adaptive restart.
 Non-convergence is flagged on the result, never raised, so Monte Carlo
 drivers can count failures.
 
-``SolverConfig.admm_rho`` is the ADMM penalty.  mDS keeps it fixed.  mBP
+``SolverConfig`` holds what a solve reads: ``max_iters`` and ``abs_tol``
+for all three programs, and ``admm_rho``, the ADMM penalty, for the two
+constrained ones (mLASSO has none).  mDS keeps the penalty fixed.  mBP
 starts from it and balances the residuals (Boyd et al. 2011, section 3.4.1):
 while fewer than 200 iterations have run and epsilon > 0, the penalty
 doubles when the primal residual exceeds 10 times the dual residual and
@@ -44,12 +46,11 @@ from nucrec.operators import apply_op, adjoint, gram_apply
 class SolverConfig:
     max_iters: int = 20000
     abs_tol: float = 1e-8
-    rel_tol: float = 1e-6
     admm_rho: float = 1.0
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.abs_tol <= 0:
+            raise ValueError("abs_tol must be positive")
         if self.admm_rho <= 0:
             raise ValueError("admm_rho must be positive")
 
@@ -195,14 +196,18 @@ def solve_mds(scenario, lam, cfg=None):
     return RecoveryResult(x_hat, it, pri, dual, nuclear_norm(x_hat), feasible, converged)
 
 
+# the relative slack of solve_mlasso's stationarity certificate
+STATIONARY_REL_TOL = 1e-6
+
+
 def solve_mlasso(scenario, mu, cfg=None):
     """Matrix LASSO via FISTA with adaptive (function value) restart.
 
     The returned ``feasible`` flag certifies stationarity through the
     nuclear-norm subgradient characterization: every singular value of
-    A*(y - A(x_hat)) is at most mu*(1 + rel_tol) and the residual
+    A*(y - A(x_hat)) is at most mu*(1 + STATIONARY_REL_TOL) and the residual
     correlation aligns with x_hat, <A*(y - A(x_hat)), x_hat> >=
-    mu*||x_hat||_* * (1 - rel_tol).
+    mu*||x_hat||_* * (1 - STATIONARY_REL_TOL), each up to ``cfg.abs_tol``.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -255,7 +260,7 @@ def solve_mlasso(scenario, mu, cfg=None):
     top = operator_norm(resid_corr)
     align = float(np.tensordot(resid_corr, x_hat, axes=([0, 1], [0, 1])))
     nn = nuclear_norm(x_hat)
-    stationary = top <= mu * (1 + cfg.rel_tol) + cfg.abs_tol and align >= mu * nn * (
-        1 - cfg.rel_tol
+    stationary = top <= mu * (1 + STATIONARY_REL_TOL) + cfg.abs_tol and align >= mu * nn * (
+        1 - STATIONARY_REL_TOL
     ) - cfg.abs_tol
     return RecoveryResult(x_hat, it, 0.0, 0.0, objective(x_hat), stationary, converged)

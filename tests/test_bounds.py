@@ -9,7 +9,6 @@ from nucrec.bounds import (
     bound_mds,
     bound_mlasso,
     bound_mbp_mric,
-    bound_mds_mric,
     lasso_subscript,
     noise_operator_bound,
     verify_bound,
@@ -80,17 +79,6 @@ class TestRicForms:
             bound_mbp_mric(0.1, SQRT2 - 1.0)
         # just inside the validity region still works
         assert bound_mbp_mric(0.1, SQRT2 - 1.0 - 1e-6) > 0
-
-    def test_mds_mric_formula(self):
-        d = 0.2
-        expected = 16.0 / (1.0 - (SQRT2 + 1.0) * d) * math.sqrt(2.0) * 0.3
-        assert bound_mds_mric(2, 0.3, d) == pytest.approx(expected)
-
-    def test_mds_mric_validation(self):
-        with pytest.raises(ValueError):
-            bound_mds_mric(1, 0.3, -0.1)
-        with pytest.raises(BoundInapplicable):
-            bound_mds_mric(1, 0.3, 0.9)
 
 
 class TestVerifyBound:

@@ -181,7 +181,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
     def test_nonfinite_literal_rejected(self, tmp_path, literal):
         # json.load accepts these non-JSON literals; NaN used to exit 0
-        text = json.dumps(cmsv_config(solver={"abs_tol": 1e-8})).replace("1e-08", literal)
+        text = json.dumps(cmsv_config(estimation={"tau": 1.25})).replace("1.25", literal)
         cfg = tmp_path / "config.json"
         cfg.write_text(text)
         out = tmp_path / "out"
@@ -238,11 +238,26 @@ class TestExitCodes:
          "noise.sigma"),
         ("recover", recover_config(algorithm={"name": "mbp", "epsilon": 0.05, "kappa": 0.2}), "algorithm.kappa"),
         ("noise-cal", {**CLI_CONFIGS["noise-cal"], "noise": {"kind": "gaussian", "epsilon": 0.3}}, "noise.epsilon"),
+        ("cmsv", cmsv_config(solver={"abs_tol": 1e-3}), "solver"),
+        ("cmsv", cmsv_config(solver={"admm_rho": 4.0}), "solver"),
+        ("cmsv", cmsv_config(solver={"max_iters": 301}), "solver"),
+        ("montecarlo", montecarlo_config(solver={"abs_tol": 1e-3}), "solver"),
+        ("montecarlo", montecarlo_config(solver={"admm_rho": 4.0}), "solver"),
+        ("montecarlo", montecarlo_config(solver={"max_iters": 301}), "solver"),
+        ("recover", recover_config(solver={"rel_tol": 1e-2}), "solver.rel_tol"),
+        ("recover", recover_config(algorithm={"name": "mds", "lambda": 0.1}, solver={"rel_tol": 1e-2}),
+         "solver.rel_tol"),
+        ("recover", recover_config(algorithm={"name": "mlasso", "mu": 0.01}, solver={"admm_rho": 4.0}),
+         "solver.admm_rho"),
+        ("bounds", bounds_config(solver={"rel_tol": 1e-2}), "solver.rel_tol"),
     ], ids=["cmsv-epsilon_grid", "cmsv-algorithm", "cmsv-signal", "cmsv-c", "cmsv-m_sweep",
             "cmsv-epsilon_band", "montecarlo-noise", "recover-estimation", "bounds-noise", "noise-cal-solver",
-            "mds-sigma-epsilon-kappa", "mbp-kappa", "noise-cal-epsilon"])
+            "mds-sigma-epsilon-kappa", "mbp-kappa", "noise-cal-epsilon", "cmsv-abs_tol", "cmsv-admm_rho",
+            "cmsv-max_iters", "montecarlo-abs_tol", "montecarlo-admm_rho", "montecarlo-max_iters",
+            "mbp-rel_tol", "mds-rel_tol", "mlasso-admm_rho", "bounds-rel_tol"])
     def test_section_its_kind_never_reads(self, tmp_path, capsys, sub, doc, key):
-        # each used to exit 0 with the key ignored
+        # each used to exit 0 with the key ignored (the estimator capped its
+        # sweeps at 300 whatever solver.max_iters said)
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main([sub, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG

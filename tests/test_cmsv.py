@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nucrec import cmsv
 from nucrec.cmsv import (
     Estimate,
     _project_singular_values,
@@ -14,7 +15,6 @@ from nucrec.cmsv import (
 from nucrec.ensembles import EnsembleSpec, derive_seed, draw_operator
 from nucrec.linalg import lstar_rank, numerical_rank
 from nucrec.operators import MeasurementOperator, apply_op, as_matrix
-from nucrec.solvers import SolverConfig
 from oracles import rank1_angle_grid_value, htau_sigma_grid_2d, project_sigma_bisection
 
 
@@ -178,9 +178,11 @@ class TestEstimateCmsv:
         best = int(np.argmin(est.per_start_values))
         assert abs(est.per_start_values[best] - est.value) <= 1e-14 * sigma_max
 
-    def test_stop_reasons(self):
+    def test_stop_reasons(self, monkeypatch):
         op = tiny_op(seed=11, n1=3, n2=3, m=20)
-        capped = estimate_cmsv(op, 2.0, "min", starts=4, seed=0, cfg=SolverConfig(max_iters=5))
+        with monkeypatch.context() as patch:
+            patch.setattr(cmsv, "MAX_SWEEPS", 5)
+            capped = estimate_cmsv(op, 2.0, "min", starts=4, seed=0)
         assert (capped.iterations, capped.stop_reason) == (5, "cap")
         # orthonormal rows: every feasible point has the same value
         converged = estimate_cmsv(entry_basis_op(3), 2.0, "min", starts=4, seed=0)
@@ -211,7 +213,7 @@ class TestEstimateCmsv:
     def test_roundoff_level_minimum_stops_on_tolerance(self):
         # criterion 08's 2x2, m=3 operator: the minimum is 0 (m < n1*n2), and
         # values below the 1e-8*sigma_max accuracy of the sweeps' norms move
-        # by more than rel_tol times themselves on every sweep
+        # by more than REL_TOL times themselves on every sweep
         op = tiny_op(seed=derive_seed(800, 4), m=3)
         est = estimate_cmsv(op, 2.0, "min", starts=32, seed=derive_seed(802, 4))
         assert est.stop_reason == "tolerance" and est.iterations < 300
@@ -375,31 +377,31 @@ class TestEstimateValidation:
     def test_bad_witness_norm(self):
         with pytest.raises(ValueError):
             Estimate(tau=2.0, direction="min", value=1.0,
-                     witness=np.eye(2), starts=1)
+                     witness=np.eye(2))
 
     def test_bad_witness_constraint(self):
         with pytest.raises(ValueError):
             Estimate(tau=1.0, direction="min", value=1.0,
-                     witness=np.eye(2) / np.sqrt(2), starts=1)
+                     witness=np.eye(2) / np.sqrt(2))
 
     def test_bad_witness_rank(self):
         with pytest.raises(ValueError):
             Estimate(r=1, direction="min", value=1.0,
-                     witness=np.eye(2) / np.sqrt(2), starts=1)
-        est = Estimate(r=2, direction="min", value=1.0, witness=np.eye(2) / np.sqrt(2), starts=1)
+                     witness=np.eye(2) / np.sqrt(2))
+        est = Estimate(r=2, direction="min", value=1.0, witness=np.eye(2) / np.sqrt(2))
         assert est.tau is None
 
     @pytest.mark.parametrize("constraint", [{}, {"tau": 2.0, "r": 2}])
     def test_exactly_one_constraint(self, constraint):
         with pytest.raises(ValueError):
-            Estimate(direction="min", value=1.0, witness=np.eye(2) / np.sqrt(2), starts=1, **constraint)
+            Estimate(direction="min", value=1.0, witness=np.eye(2) / np.sqrt(2), **constraint)
 
     def test_evidence_derived_from_direction(self):
         w = np.eye(2) / np.sqrt(2)
-        est = Estimate(tau=2.0, direction="max", value=1.0, witness=w, starts=1)
+        est = Estimate(tau=2.0, direction="max", value=1.0, witness=w)
         assert est.evidence == "lower_bound_on_max"
         with pytest.raises(TypeError):
-            Estimate(tau=2.0, direction="max", value=1.0, witness=w, starts=1, evidence="upper_bound_on_min")
+            Estimate(tau=2.0, direction="max", value=1.0, witness=w, evidence="upper_bound_on_min")
 
     def test_estimators_share_the_type(self):
         op = tiny_op(seed=19, n1=3, n2=3, m=12)

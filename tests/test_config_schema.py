@@ -2,12 +2,14 @@
 stays here as the reference the in-package check is compared with."""
 
 import copy
+import dataclasses
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nucrec.config_schema import KEYWORDS, SCHEMA, ConfigError, validate
+from nucrec.config_schema import KEYWORDS, SCHEMA, SOLVER, ConfigError, validate
+from nucrec.solvers import SolverConfig
 from test_acceptance import CLI_CONFIGS
 
 ANNOTATIONS = {"$schema", "title"}
@@ -74,6 +76,11 @@ def test_every_one_of_is_tagged():
                 (value,) = b["properties"][tag]["enum"]
                 values.append(value)
             assert len(set(values)) == len(values), values
+
+
+def test_solver_section_is_solver_config():
+    # a solver key with no SolverConfig field would be read by no solve
+    assert set(SOLVER["properties"]) == {field.name for field in dataclasses.fields(SolverConfig)}
 
 
 @pytest.mark.parametrize("doc", CLI_CONFIGS.values(), ids=CLI_CONFIGS.keys())

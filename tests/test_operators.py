@@ -193,8 +193,9 @@ class TestScenario:
         op = random_op(rng, 2, 2, 4)
         x = rng.standard_normal((2, 2))
         scn = make_scenario(op, x, "bounded", epsilon=0.3, seed=1)
-        assert np.linalg.norm(scn.noise.realized_w) <= 0.3 + 1e-12
-        assert np.allclose(scn.y, apply_op(op, x) + scn.noise.realized_w)
+        assert np.linalg.norm(scn.y - apply_op(op, x)) <= 0.3 + 1e-12
+        with pytest.raises(ValueError, match="exceeds epsilon"):
+            make_scenario(op, x, "bounded", epsilon=-0.3, seed=1)
 
     def test_gaussian_noise_reproducible(self):
         rng = np.random.default_rng(17)

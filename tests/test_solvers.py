@@ -73,8 +73,7 @@ class TestMbp:
         y_mat = rng.standard_normal((3, 3))
         op = entry_basis_op(3)
         scn = make_scenario(op, np.zeros((3, 3)))
-        scn = type(scn)(operator=op, x_true=scn.x_true, noise=scn.noise,
-                        y=y_mat.reshape(-1))
+        scn = type(scn)(operator=op, x_true=scn.x_true, y=y_mat.reshape(-1))
         for eps in (0.1, 0.4, 1.0):
             res = solve_mbp(scn, eps)
             oracle = mbp_orthonormal_oracle(y_mat, eps)
