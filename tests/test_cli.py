@@ -447,7 +447,7 @@ class TestRunners:
         # the epsilon = 0 solve on this ill-conditioned operator stops at the
         # iteration cap; both files are still written
         doc = bounds_config(
-            ensemble={"kind": "gaussian", "n1": 3, "n2": 3, "m": 9, "normalize": True}, seed=108
+            ensemble={"kind": "gaussian", "n1": 3, "n2": 3, "m": 6, "normalize": True}, seed=5
         )
         del doc["epsilon_grid"]
         cfg = write_config(tmp_path, doc)

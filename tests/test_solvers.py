@@ -60,6 +60,13 @@ def test_zero_operator_branch():
     assert np.array_equal(res.x_hat, np.zeros((2, 2)))
 
 
+def recovery_instance():
+    """Trial 0 of the benchmark's recovery workload at seed 100."""
+    spec = EnsembleSpec("gaussian", 12, 12, 160, seed=derive_seed(100, 0), normalize=True)
+    x = draw_low_rank_signal(12, 12, 2, 1.0, derive_seed(100, 1))
+    return make_scenario(draw_operator(spec), x, "bounded", epsilon=0.05, seed=derive_seed(100, 2))
+
+
 class TestMbp:
     def test_noiseless_exact_recovery(self):
         op, x, scn = gaussian_instance(seed=10, n=6, r=1, m=30)
@@ -94,19 +101,17 @@ class TestMbp:
             assert res.objective <= nuclear_norm(x) + 1e-6, rho
 
     def test_balanced_penalty_converges_fast(self):
-        # trial 0 of the benchmark's recovery workload at seed 100; the
-        # fixed penalty admm_rho = 1 needs 1784 iterations here
-        spec = EnsembleSpec("gaussian", 12, 12, 160, seed=derive_seed(100, 0), normalize=True)
-        x = draw_low_rank_signal(12, 12, 2, 1.0, derive_seed(100, 1))
-        scn = make_scenario(draw_operator(spec), x, "bounded", epsilon=0.05, seed=derive_seed(100, 2))
-        res = solve_mbp(scn, 0.05)
+        # the fixed penalty admm_rho = 1 needs 987 iterations here; without
+        # over-relaxation the balanced solve takes 447
+        res = solve_mbp(recovery_instance(), 0.05)
         assert res.converged and res.feasible
         assert res.iterations < 1000
+        assert res.iterations < 300
 
     def test_noiseless_keeps_fixed_penalty(self):
         # at eps = 0 the dual residual is identically 0; balancing on it
         # would double the penalty on each of the first 200 iterations and
-        # take 15 649 iterations to converge
+        # take 15 150 iterations to converge
         op = draw_operator(EnsembleSpec("gaussian", 12, 12, 160, seed=0, normalize=True))
         x = draw_low_rank_signal(12, 12, 2, 1.0, 1000)
         res = solve_mbp(make_scenario(op, x), 0.0)
@@ -178,6 +183,13 @@ class TestMds:
         lam = 2.0 * operator_norm(adjoint(op, scn.y))
         res = solve_mds(scn, lam)
         assert nuclear_norm(res.x_hat) <= 1e-6
+
+    def test_relaxed_loop_converges_fast(self):
+        # lambda as noise-cal suggests it at seed 100; without over-relaxation
+        # the solve takes 2816 iterations
+        res = solve_mds(recovery_instance(), 0.02845)
+        assert res.converged and res.feasible
+        assert res.iterations < 2000
 
     def test_negative_lambda(self):
         _, _, scn = gaussian_instance(seed=24)
